@@ -11,19 +11,14 @@ int main() {
                "paper: >1 thread helps only below 4 PEs; 2 threads saturate "
                "the DMA engine");
 
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
-  const auto module = compiler::compile_spn(
-      workload::make_nips_model(10).spn, *backend);
+  const auto model = compile_model(workload::make_nips_model(10).spn);
 
   Table table({"PEs", "1 thread [Ms/s]", "2 threads [Ms/s]",
                "4 threads [Ms/s]", "2t vs 1t"});
   for (const int pes : {1, 2, 3, 4, 6, 8}) {
-    const double one = simulate_hbm_throughput(module, *backend, pes, 1, true,
-                                               2'000'000);
-    const double two = simulate_hbm_throughput(module, *backend, pes, 2, true,
-                                               2'000'000);
-    const double four = simulate_hbm_throughput(module, *backend, pes, 4, true,
-                                                2'000'000);
+    const double one = simulate_hbm_throughput(model, pes, 1, true, 2'000'000);
+    const double two = simulate_hbm_throughput(model, pes, 2, true, 2'000'000);
+    const double four = simulate_hbm_throughput(model, pes, 4, true, 2'000'000);
     table.add_row({strformat("%d", pes), msamples(one), msamples(two),
                    msamples(four), strformat("%+.1f%%", (two / one - 1) * 100)});
   }

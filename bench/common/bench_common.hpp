@@ -11,6 +11,7 @@
 #include "spnhbm/arith/backend.hpp"
 #include "spnhbm/compiler/datapath.hpp"
 #include "spnhbm/engine/fpga_engine.hpp"
+#include "spnhbm/model/artifact.hpp"
 #include "spnhbm/runtime/inference_runtime.hpp"
 #include "spnhbm/tapasco/device.hpp"
 #include "spnhbm/util/strings.hpp"
@@ -30,11 +31,17 @@ inline void print_table(const Table& table) {
   std::fputs(table.render().c_str(), stdout);
 }
 
+/// Compiles `spn` for the arithmetic `format` (see model::make_backend).
+inline model::ModelHandle compile_model(spn::Spn spn,
+                                        const std::string& format = "cfp") {
+  return model::ModelArtifact::compile("bench", "1", std::move(spn),
+                                       model::make_backend(format));
+}
+
 /// End-to-end (or compute-only) throughput of an N-PE HBM design, timed on
 /// the simulator through the unified engine interface. `samples_per_pe`
 /// controls simulation effort.
-inline double simulate_hbm_throughput(const compiler::DatapathModule& module,
-                                      const arith::ArithBackend& backend,
+inline double simulate_hbm_throughput(const model::ModelHandle& model,
                                       int pe_count, int threads_per_pe,
                                       bool include_transfers,
                                       std::uint64_t samples_per_pe = 3'000'000,
@@ -45,15 +52,14 @@ inline double simulate_hbm_throughput(const compiler::DatapathModule& module,
   config.include_transfers = include_transfers;
   config.compute_results = false;
   config.skip_placement_check = skip_placement;
-  engine::FpgaSimEngine fpga(module, backend, config);
+  engine::FpgaSimEngine fpga(model, config);
   return fpga.measure_throughput(static_cast<std::uint64_t>(pe_count) *
                                  samples_per_pe);
 }
 
 /// Simulated prior-work F1 throughput ([8]'s architecture: float64
 /// datapaths, shared DDR4, EDMA-class DMA), through the same interface.
-inline double simulate_f1_throughput(const compiler::DatapathModule& module,
-                                     const arith::ArithBackend& backend,
+inline double simulate_f1_throughput(const model::ModelHandle& model,
                                      int pe_count, int memory_channels,
                                      std::uint64_t samples_per_pe = 2'000'000) {
   engine::FpgaEngineConfig config;
@@ -62,7 +68,7 @@ inline double simulate_f1_throughput(const compiler::DatapathModule& module,
   config.memory_channels = memory_channels;
   config.threads_per_pe = 2;  // [8] overlapped with multiple threads
   config.compute_results = false;
-  engine::FpgaSimEngine fpga(module, backend, config);
+  engine::FpgaSimEngine fpga(model, config);
   return fpga.measure_throughput(static_cast<std::uint64_t>(pe_count) *
                                  samples_per_pe);
 }

@@ -15,8 +15,6 @@ int main() {
                "left block: w/o host<->device transfers; right block: "
                "end-to-end (1 control thread per PE, as in the paper)");
 
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
-
   for (const bool include_transfers : {false, true}) {
     std::printf("\n--- %s ---\n", include_transfers
                                       ? "WITH host<->device transfers"
@@ -27,16 +25,15 @@ int main() {
     }
     Table table(header);
 
-    std::vector<compiler::DatapathModule> modules;
+    std::vector<model::ModelHandle> models;
     for (const std::size_t size : workload::nips_benchmark_sizes()) {
-      modules.push_back(compiler::compile_spn(
-          workload::make_nips_model(size).spn, *backend));
+      models.push_back(compile_model(workload::make_nips_model(size).spn));
     }
     for (int pes = 1; pes <= 8; ++pes) {
       std::vector<std::string> row{strformat("%d", pes)};
-      for (const auto& module : modules) {
+      for (const auto& model : models) {
         const double rate = simulate_hbm_throughput(
-            module, *backend, pes, /*threads_per_pe=*/1, include_transfers,
+            model, pes, /*threads_per_pe=*/1, include_transfers,
             /*samples_per_pe=*/1'500'000);
         row.push_back(msamples(rate));
       }

@@ -17,7 +17,6 @@ int main() {
   print_header("Fig. 5 — HBM scaling potential",
                "required memory throughput by core count vs HBM limits");
 
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
   const double channel_gib = 12.0;  // Fig. 2 plateau (measured)
   const double max_practical_gib = 32.0 * channel_gib;  // 384 GiB/s
   const double max_theoretical_gib =
@@ -32,12 +31,11 @@ int main() {
 
   for (const std::size_t size : workload::nips_benchmark_sizes()) {
     const auto model = workload::make_nips_model(size);
-    const auto module = compiler::compile_spn(model.spn, *backend);
     // Single-core end-to-end rate (the paper derives per-core bandwidth
     // from the measured single-accelerator rate, e.g. NIPS10: 133.1 Ms/s
     // x 18 B = 2.23 GiB/s).
-    const double rate = simulate_hbm_throughput(module, *backend, 1, 1, true,
-                                                2'000'000);
+    const double rate =
+        simulate_hbm_throughput(compile_model(model.spn), 1, 1, true, 2'000'000);
     const double bytes = static_cast<double>(model.total_bytes_per_sample());
     const double one_core_gib = rate * bytes / static_cast<double>(kGiB);
     const auto max_cores = static_cast<int>(max_practical_gib / one_core_gib);

@@ -24,8 +24,6 @@ int main() {
   print_header("Fig. 6 — end-to-end peak performance by platform",
                "samples/s including host<->device transfers (HBM, F1)");
 
-  const auto cfp = arith::make_cfp_backend(arith::paper_cfp_format());
-  const auto f64 = arith::make_float64_backend();
   const auto cpu_ref = baselines::xeon_e5_2680v3_curve();
   const auto gpu_ref = baselines::tesla_v100_curve();
   const auto f1_ref = baselines::aws_f1_curve();
@@ -40,26 +38,26 @@ int main() {
 
   for (const std::size_t size : workload::nips_benchmark_sizes()) {
     const auto model = workload::make_nips_model(size);
-    const auto module = compiler::compile_spn(model.spn, *cfp);
-    const auto module_f64 = compiler::compile_spn(model.spn, *f64);
+    const auto cfp = compile_model(model.spn, "cfp");
+    const auto f64 = compile_model(model.spn, "f64");
 
     // Best-case HBM configuration: the largest placeable design.
-    const int hbm_pes = fpga::max_placeable_pes(module, arith::FormatKind::kCfp,
-                                                fpga::Platform::kHbmXupVvh);
-    const double hbm = simulate_hbm_throughput(module, *cfp, hbm_pes, 1, true,
+    const int hbm_pes =
+        fpga::max_placeable_pes(cfp->module(), arith::FormatKind::kCfp,
+                                fpga::Platform::kHbmXupVvh);
+    const double hbm = simulate_hbm_throughput(cfp, hbm_pes, 1, true,
                                                1'500'000);
 
     // Prior-work F1 configuration: 4 PEs/4 controllers up to NIPS40,
     // 2 PEs/2 controllers for NIPS80 — the configurations [8] actually
     // deployed (paper §V-A/§V-D).
     const int f1_pes = std::min(
-        {fpga::max_placeable_pes(module_f64, arith::FormatKind::kFloat64,
+        {fpga::max_placeable_pes(f64->module(), arith::FormatKind::kFloat64,
                                  fpga::Platform::kF1),
          size == 80 ? 2 : 4});
-    const double f1 = simulate_f1_throughput(module_f64, *f64, f1_pes, f1_pes,
-                                             1'000'000);
+    const double f1 = simulate_f1_throughput(f64, f1_pes, f1_pes, 1'000'000);
 
-    engine::CpuEngine cpu(module_f64);
+    engine::CpuEngine cpu(f64);
     const double native_cpu = cpu.measure_throughput(200'000);
 
     table.add_row({model.name, msamples(hbm), msamples(hbm_ref.at(size)),

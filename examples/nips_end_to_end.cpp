@@ -23,9 +23,14 @@ int main(int argc, char** argv) {
   std::printf("learned %s: %s\n", model.name.c_str(),
               spn::compute_stats(model.spn).describe().c_str());
 
-  // 2. Compile and size the design.
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  // 2. Compile and size the design (CFP, the paper's format), plus the
+  //    float64 twin the prior-work F1 design and the CPU baseline use.
+  const auto cfp = model::ModelArtifact::compile(
+      model.name, "1", model.spn,
+      arith::make_cfp_backend(arith::paper_cfp_format()));
+  const auto f64 = model::ModelArtifact::compile(
+      model.name, "1", model.spn, arith::make_float64_backend());
+  const auto& module = cfp->module();
   const int max_pes = fpga::max_placeable_pes(module, arith::FormatKind::kCfp,
                                               fpga::Platform::kHbmXupVvh);
   const auto design = fpga::estimate_design(
@@ -39,7 +44,7 @@ int main(int argc, char** argv) {
     engine::FpgaEngineConfig config;
     config.pe_count = max_pes;
     config.compute_results = false;
-    engine::FpgaSimEngine hbm(module, *backend, config);
+    engine::FpgaSimEngine hbm(cfp, config);
     const double rate =
         hbm.measure_throughput(static_cast<std::uint64_t>(max_pes) *
                                2'000'000);
@@ -50,10 +55,8 @@ int main(int argc, char** argv) {
   // 4. Prior-work F1 configuration for contrast — same interface, other
   //    platform config.
   {
-    const auto f64 = arith::make_float64_backend();
-    const auto module_f64 = compiler::compile_spn(model.spn, *f64);
     const int f1_pes = std::min(
-        fpga::max_placeable_pes(module_f64, arith::FormatKind::kFloat64,
+        fpga::max_placeable_pes(f64->module(), arith::FormatKind::kFloat64,
                                 fpga::Platform::kF1),
         4);
     engine::FpgaEngineConfig config;
@@ -62,7 +65,7 @@ int main(int argc, char** argv) {
     config.memory_channels = f1_pes;
     config.threads_per_pe = 2;
     config.compute_results = false;
-    engine::FpgaSimEngine f1(module_f64, *f64, config);
+    engine::FpgaSimEngine f1(f64, config);
     const double rate =
         f1.measure_throughput(static_cast<std::uint64_t>(f1_pes) * 1'000'000);
     std::printf("F1 x%d [8] (simulated): %s\n", f1_pes,
@@ -71,9 +74,7 @@ int main(int argc, char** argv) {
 
   // 5. Native CPU baseline, measured for real on this machine.
   {
-    const auto f64 = arith::make_float64_backend();
-    const auto module_f64 = compiler::compile_spn(model.spn, *f64);
-    engine::CpuEngine cpu(module_f64);
+    engine::CpuEngine cpu(f64);
     const double rate = cpu.measure_throughput(200'000);
     std::printf("CPU x%zu threads (native, this machine): %s\n",
                 cpu.threads(), format_rate(rate).c_str());
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
     corpus.documents = 4;
     corpus.vocabulary = variables;
     const auto docs = workload::make_bag_of_words(corpus);
-    engine::FpgaSimEngine accelerator(module, *backend);
+    engine::FpgaSimEngine accelerator(cfp);
     const auto results = accelerator.infer(docs.to_bytes());
     std::printf("\njoint probabilities of %zu real documents:\n",
                 results.size());

@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "spnhbm/arith/backend.hpp"
-#include "spnhbm/compiler/datapath.hpp"
 #include "spnhbm/engine/fpga_engine.hpp"
+#include "spnhbm/model/artifact.hpp"
 #include "spnhbm/spn/evaluate.hpp"
 #include "spnhbm/spn/text_format.hpp"
 
@@ -26,16 +26,17 @@ int main() {
   std::printf("model: %s\n", spn::compute_stats(model).describe().c_str());
 
   // 2. Compile it to a pipelined datapath in the paper's CFP arithmetic.
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
-  const auto module = compiler::compile_spn(model, *backend);
-  std::printf("%s\n", module.report().c_str());
+  const auto artifact = model::ModelArtifact::compile(
+      "quickstart", "1", model,
+      arith::make_cfp_backend(arith::paper_cfp_format()));
+  std::printf("%s\n", artifact->module().report().c_str());
 
   // 3. Stand up the simulated accelerator card behind the unified engine
   //    interface. The engine owns the whole stack: DES scheduler, TaPaSCo
   //    composition (PE -> SmartConnect -> dedicated HBM channel) and the
   //    §IV-B host runtime. Swapping in engine::CpuEngine or
   //    engine::GpuModelEngine here changes the backend, nothing else.
-  engine::FpgaSimEngine accelerator(module, *backend);
+  engine::FpgaSimEngine accelerator(artifact);
   std::printf("engine: %s\n", accelerator.capabilities().name.c_str());
 
   // 4. Run real samples through the accelerator (copy -> launch -> read

@@ -23,14 +23,16 @@
 
 int main() {
   using namespace spnhbm;
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
 
   Table table({"benchmark", "B/sample (wire)", "replicas",
                "streaming sim [Ms/s]", "ceiling [Ms/s]",
                "HBM end-to-end [Ms/s]", "HBM vs streaming"});
   for (const std::size_t size : workload::nips_benchmark_sizes()) {
     const auto model = workload::make_nips_model(size);
-    const auto module = compiler::compile_spn(model.spn, *backend);
+    const auto artifact = model::ModelArtifact::compile(
+        model.name, "1", model.spn,
+        arith::make_cfp_backend(arith::paper_cfp_format()));
+    const auto& module = artifact->module();
 
     // Streaming pipeline: replicate datapaths until the 100G wire, not
     // the datapath, is the limit ([7]'s "reasonable degree of
@@ -58,7 +60,7 @@ int main() {
     engine::FpgaEngineConfig hbm_config;
     hbm_config.pe_count = 0;  // largest placeable
     hbm_config.compute_results = false;
-    engine::FpgaSimEngine hbm_engine(module, *backend, hbm_config);
+    engine::FpgaSimEngine hbm_engine(artifact, hbm_config);
     const int pes = hbm_engine.pe_count();
     const double hbm = hbm_engine.measure_throughput(
         static_cast<std::uint64_t>(pes) * 1'500'000);

@@ -32,6 +32,8 @@ void CpuInferenceEngine::infer_block(std::span<const std::uint8_t> samples,
           for (std::size_t lane = 0; lane < lanes; ++lane) {
             const std::uint8_t byte =
                 samples[(block + lane) * features + op.variable];
+            SPNHBM_REQUIRE(byte < table.size(),
+                           "feature byte outside lookup table");
             out[lane] = table[byte];
           }
           break;
@@ -63,8 +65,9 @@ void CpuInferenceEngine::infer_block(std::span<const std::uint8_t> samples,
         case compiler::OpKind::kMax: {
           const double* lhs = values.data() + op.lhs * kLanes;
           const double* rhs = values.data() + op.rhs * kLanes;
+          // Same tie and NaN order as ArithBackend::max.
           for (std::size_t lane = 0; lane < kLanes; ++lane) {
-            out[lane] = std::max(lhs[lane], rhs[lane]);
+            out[lane] = lhs[lane] >= rhs[lane] ? lhs[lane] : rhs[lane];
           }
           break;
         }
@@ -97,9 +100,14 @@ double CpuInferenceEngine::measure_throughput(std::size_t sample_count,
                                               std::uint64_t seed) {
   Rng rng(seed);
   const std::size_t features = module_.input_features();
+  // Draw bytes every lookup table covers.
+  std::size_t domain = 256;
+  for (const auto& table : module_.tables()) {
+    domain = std::min(domain, table.probability_by_byte.size());
+  }
   std::vector<std::uint8_t> samples(sample_count * features);
   for (auto& byte : samples) {
-    byte = static_cast<std::uint8_t>(rng.next_below(256));
+    byte = static_cast<std::uint8_t>(rng.next_below(domain));
   }
   std::vector<double> results(sample_count);
   const auto start = std::chrono::steady_clock::now();

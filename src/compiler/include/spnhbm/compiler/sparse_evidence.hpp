@@ -3,7 +3,7 @@
 // Bag-of-words queries are naturally sparse: a 5-active-words NIPS80
 // query carries 5 {index, count} pairs instead of 80 dense bytes. This
 // is the one encoding used everywhere sparse evidence travels — the
-// RPC wire (v4 REQUEST payloads), the PCIe DMA into the simulated
+// RPC wire (REQUEST payloads), the PCIe DMA into the simulated
 // device, and the HBM bursts the load units issue — so the modelled
 // byte counts on every link shrink with the active-index density.
 //

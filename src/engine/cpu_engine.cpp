@@ -24,12 +24,6 @@ CpuEngine::CpuEngine(ModelHandle model, CpuEngineConfig config)
   refresh_capabilities();
 }
 
-CpuEngine::CpuEngine(const compiler::DatapathModule& module,
-                     CpuEngineConfig config)
-    : CpuEngine(model::ModelArtifact::wrap("default", module,
-                                           arith::make_float64_backend()),
-                config) {}
-
 void CpuEngine::refresh_capabilities() {
   capabilities_.name = strformat("cpu-native x%zu", native_->threads());
   capabilities_.input_features = model_->module().input_features();

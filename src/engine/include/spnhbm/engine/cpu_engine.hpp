@@ -25,11 +25,6 @@ class CpuEngine : public InferenceEngine {
  public:
   explicit CpuEngine(ModelHandle model, CpuEngineConfig config = {});
 
-  /// Legacy single-model constructor: wraps `module` into an anonymous
-  /// artifact ("default@0"). `module` must outlive the engine.
-  explicit CpuEngine(const compiler::DatapathModule& module,
-                     CpuEngineConfig config = {});
-
   const EngineCapabilities& capabilities() const override {
     return capabilities_;
   }

@@ -47,14 +47,12 @@ std::string read_text_file(const std::string& path) {
 ModelArtifact::ModelArtifact(std::string name, std::string version,
                              std::optional<spn::Spn> spn,
                              compiler::DatapathModule module,
-                             std::unique_ptr<arith::ArithBackend> owned,
-                             const arith::ArithBackend* borrowed)
+                             std::unique_ptr<arith::ArithBackend> backend)
     : name_(std::move(name)),
       version_(std::move(version)),
       spn_(std::move(spn)),
       module_(std::move(module)),
-      owned_backend_(std::move(owned)),
-      backend_(owned_backend_ ? owned_backend_.get() : borrowed) {
+      backend_(std::move(backend)) {
   if (name_.empty()) throw ModelError("model name must not be empty");
   if (version_.empty()) throw ModelError("model version must not be empty");
   if (backend_ == nullptr) throw ModelError("model backend must not be null");
@@ -69,7 +67,7 @@ ModelHandle ModelArtifact::compile(std::string name, std::string version,
   compiler::DatapathModule module = compiler::compile_spn(spn, *backend, options);
   return ModelHandle(new ModelArtifact(std::move(name), std::move(version),
                                        std::move(spn), std::move(module),
-                                       std::move(backend), nullptr));
+                                       std::move(backend)));
 }
 
 ModelHandle ModelArtifact::load_file(std::string name, std::string version,
@@ -87,25 +85,11 @@ ModelHandle ModelArtifact::load_file(std::string name, std::string version,
     compiler::DatapathModule module = compiler::load_design_file(path);
     return ModelHandle(new ModelArtifact(std::move(name), std::move(version),
                                          std::nullopt, std::move(module),
-                                         std::move(backend), nullptr));
+                                         std::move(backend)));
   }
   return compile(std::move(name), std::move(version),
                  spn::parse_spn(read_text_file(path)), std::move(backend),
                  options);
-}
-
-ModelHandle ModelArtifact::wrap(std::string name,
-                                const compiler::DatapathModule& module,
-                                const arith::ArithBackend& backend) {
-  return ModelHandle(new ModelArtifact(std::move(name), "0", std::nullopt,
-                                       module, nullptr, &backend));
-}
-
-ModelHandle ModelArtifact::wrap(std::string name,
-                                const compiler::DatapathModule& module,
-                                std::unique_ptr<arith::ArithBackend> backend) {
-  return ModelHandle(new ModelArtifact(std::move(name), "0", std::nullopt,
-                                       module, std::move(backend), nullptr));
 }
 
 const spn::Spn& ModelArtifact::spn() const {

@@ -50,20 +50,6 @@ class ModelArtifact {
                                std::unique_ptr<arith::ArithBackend> backend,
                                const compiler::CompileOptions& options = {});
 
-  /// Wraps an already-compiled module into an artifact for the legacy
-  /// single-model engine constructors. The backend is *borrowed*: the
-  /// caller guarantees it outlives the artifact (the same contract the
-  /// legacy constructors already imposed). Version is "0".
-  static ModelHandle wrap(std::string name,
-                          const compiler::DatapathModule& module,
-                          const arith::ArithBackend& backend);
-
-  /// As above, but takes ownership of the backend (for wrappers that have
-  /// no caller-owned backend to borrow).
-  static ModelHandle wrap(std::string name,
-                          const compiler::DatapathModule& module,
-                          std::unique_ptr<arith::ArithBackend> backend);
-
   const std::string& name() const { return name_; }
   const std::string& version() const { return version_; }
   /// Canonical identity: "name@version".
@@ -101,15 +87,13 @@ class ModelArtifact {
  private:
   ModelArtifact(std::string name, std::string version,
                 std::optional<spn::Spn> spn, compiler::DatapathModule module,
-                std::unique_ptr<arith::ArithBackend> owned,
-                const arith::ArithBackend* borrowed);
+                std::unique_ptr<arith::ArithBackend> backend);
 
   std::string name_;
   std::string version_;
   std::optional<spn::Spn> spn_;
   compiler::DatapathModule module_;
-  std::unique_ptr<arith::ArithBackend> owned_backend_;
-  const arith::ArithBackend* backend_;  ///< owned_backend_.get() or borrowed
+  std::unique_ptr<arith::ArithBackend> backend_;
   std::uint64_t content_hash_ = 0;
   /// Mutable serving metadata on an otherwise immutable artifact: the
   /// manifest binds to the content hash, so it cannot change what the

@@ -3,7 +3,7 @@
 // connect() performs the TCP connect and consumes the server's hello
 // handshake, so server_info() (protocol version, build string, loaded
 // models) is available before the first request. The client refuses to
-// talk to a server speaking a newer protocol than it understands.
+// talk to a server speaking any protocol version but its own.
 //
 // Requests are fully pipelined: submit() assigns a request id, writes the
 // frame (serialised by a send mutex — safe from any thread) and returns a
@@ -45,6 +45,27 @@ class RpcStatusError : public Error {
   Status status_;
 };
 
+/// The peer's HELLO advertised a protocol version other than
+/// kProtocolVersion. Terminal: reconnecting cannot change the peer.
+class ProtocolVersionError : public RpcError {
+ public:
+  explicit ProtocolVersionError(std::uint16_t version)
+      : RpcError("server speaks wire protocol v" + std::to_string(version) +
+                 ", this client speaks only v" +
+                 std::to_string(kProtocolVersion)),
+        version_(version) {}
+
+  std::uint16_t version() const { return version_; }
+
+ private:
+  std::uint16_t version_;
+};
+
+/// Reads the HELLO frame that opens every connection. Throws
+/// ProtocolVersionError when it advertises another protocol version,
+/// WireError on a malformed frame and RpcError when the peer hangs up.
+HelloFrame receive_hello(Socket& socket);
+
 /// Server identity learned from the hello handshake.
 struct ServerInfo {
   std::uint16_t protocol_version = 0;
@@ -56,25 +77,19 @@ struct ServerInfo {
   std::uint32_t input_features(const std::string& ref) const;
 };
 
-/// Query-generic request options (wire v4). The defaults describe the
-/// classic dense joint request, which always travels as a plain kRequest
-/// frame — byte-identical to a v3 client on the wire. Any non-default
-/// field upgrades the request to a kRequest2 frame, which requires a
-/// server whose HELLO advertised >= kQueryProtocolVersion; against an
-/// older peer the submit throws RpcError client-side instead of sending
-/// a frame the server cannot parse.
+/// Query options of a REQUEST frame. The defaults describe a dense joint
+/// request whose sample count the server derives from the input width.
 struct QueryOptions {
   /// 0 joint, 1 marginal, 2 MPE (compiler::QueryKind values).
   std::uint8_t query_kind = 0;
   /// kEncodingDense (sample rows) or kEncodingSparse (CSR evidence
   /// stream, see compiler/sparse_evidence.hpp).
   std::uint8_t encoding = kEncodingDense;
-  /// Explicit sample count. Required (non-zero) for sparse payloads —
-  /// they are not self-describing; derived from the payload size and the
-  /// advertised input width when left 0 on dense ones.
+  /// Sample count. Required (non-zero) for sparse payloads — they are not
+  /// self-describing; 0 on dense ones lets the server derive it.
   std::uint32_t sample_count = 0;
 
-  /// True when this request must travel as a kRequest2 frame.
+  /// True for a non-default query kind or encoding.
   bool request2() const {
     return query_kind != 0 || encoding != kEncodingDense;
   }
@@ -100,11 +115,10 @@ class RpcClient {
   /// Pipelined asynchronous request. `model` empty = the server's first
   /// advertised model. `deadline_us` 0 = no per-request deadline. The
   /// future carries one probability per sample row, or RpcStatusError /
-  /// RpcError. A non-zero `idempotency_key` (v3 servers only; silently
-  /// dropped for older peers) marks retries of one logical request so
-  /// the server can deduplicate them. Non-default `query` options select
-  /// marginal/MPE inference or sparse evidence (v4 servers only; throws
-  /// RpcError against an older peer).
+  /// RpcError. A non-zero `idempotency_key` marks retries of one logical
+  /// request so the server can deduplicate them. Non-default `query`
+  /// options select marginal/MPE inference or sparse evidence; invalid
+  /// ones throw WireError before anything is sent.
   std::future<std::vector<double>> submit(const std::string& model,
                                           std::vector<std::uint8_t> samples,
                                           std::uint64_t deadline_us = 0,

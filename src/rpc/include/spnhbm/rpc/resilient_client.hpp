@@ -9,10 +9,10 @@
 //     seed, the request's idempotency key and the attempt index, so two
 //     runs with the same seed and chaos plan produce the identical
 //     retry/backoff schedule),
-//   * per-request idempotency keys (wire v3), minted once per logical
-//     request and reused across its retries, so a server that already
-//     accepted the original answers the retry from its cache and the
-//     conservation books never double-count,
+//   * per-request idempotency keys, minted once per logical request and
+//     reused across its retries, so a server that already accepted the
+//     original answers the retry from its cache and the conservation
+//     books never double-count,
 //   * a retry policy per logical request: retryable statuses
 //     (OVERLOADED, NO_HEALTHY_ENGINE, SHUTTING_DOWN) and transport
 //     failures are retried up to `max_attempts` within the
@@ -142,9 +142,11 @@ class ResilientClient {
   /// The callback fires exactly once with the final outcome (any thread:
   /// the caller's, the reader's, or the retry thread's). Throws RpcError
   /// only after close(). Non-default `query` options select marginal/MPE
-  /// inference or sparse evidence (wire v4) and fold into the
-  /// idempotency key, so two queries of different kinds over identical
-  /// payloads never collide in the server's dedup cache.
+  /// inference or sparse evidence and fold into the idempotency key, so
+  /// two queries of different kinds over identical payloads never
+  /// collide in the server's dedup cache. A peer speaking another
+  /// protocol version (ProtocolVersionError) or invalid options
+  /// (WireError) end the request at once with kNonRetryable.
   void submit_with_callback(const std::string& model,
                             std::vector<std::uint8_t> samples,
                             std::uint64_t deadline_us,

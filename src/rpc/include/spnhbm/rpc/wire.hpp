@@ -14,53 +14,45 @@
 //              validate payload widths without a round trip.
 //   kRequest   client -> server: caller-chosen request id (echoed in the
 //              response), model reference ("name@version" or unambiguous
-//              bare name), optional per-request deadline in microseconds
-//              (0 = none), and the sample payload (rows of the model's
-//              input_features bytes).
+//              bare name), per-request deadline in microseconds (0 =
+//              none), query kind, payload encoding, sample count, a flags
+//              byte and the payload (see "REQUEST body" below).
 //   kResponse  server -> client: echoed request id, a Status byte, and —
 //              on kOk — one f64 probability per sample row, otherwise a
 //              human-readable error message.
 //   kShutdown  client -> server: asks the serving process to drain and
 //              exit (the loopback admin path used by CI smoke runs).
-//   kAdmin     client -> server (v2): live-introspection poll with an
-//              empty body; answered immediately with kAdminReply, out of
-//              band of the inference stream.
-//   kAdminReply server -> client (v2): build/version info plus text
-//              sections — Prometheus metrics exposition, per-engine
-//              health states, the fleet replica map, and the tail
-//              sampler's slowest-request breakdowns.
+//   kAdmin     client -> server: live-introspection poll with an empty
+//              body; answered immediately with kAdminReply, out of band
+//              of the inference stream.
+//   kAdminReply server -> client: build/version info plus text sections
+//              — Prometheus metrics exposition, per-engine health states,
+//              the fleet replica map, and the tail sampler's
+//              slowest-request breakdowns.
 //
 // Strings are u16 length + bytes; payloads and long text sections are
 // u32 length + bytes. Frame bodies are capped at kMaxBodyBytes — a peer
 // announcing more is treated as a protocol violation, not an allocation
 // request.
 //
-// Version negotiation: the HELLO layout is frozen. A v2 REQUEST may
-// append an optional fixed-size trace block (trace id + parent span id)
-// after the sample payload; v1 frames simply omit it, and a v2 client
-// sends it only when the server's HELLO advertised version >= 2, so old
-// and new peers interoperate in both directions. ADMIN frames are
-// likewise only sent to servers that advertised v2.
+// REQUEST body:
 //
-// A v3 REQUEST may additionally append a fixed 8-byte idempotency key
-// after the (optional) trace block. The trailing-bytes length alone
-// disambiguates every combination — 0 (neither), 8 (key), 16 (trace),
-// 24 (trace + key) — and any other remainder is a protocol violation.
-// Self-healing clients mint one non-zero key per logical request and
-// reuse it across retries, so a server that already accepted the
-// original can answer the retry from its idempotency cache instead of
-// executing (and double-counting) the work.
+//   | u64 id | str model | u64 deadline_us | u8 query_kind | u8 encoding |
+//   | u32 sample_count | u8 flags | blob payload |
+//   [ u64 trace_id | u64 parent_span ]   when flags & kRequestTraced
+//   [ u64 idempotency_key ]              when flags & kRequestKeyed
 //
-// v4 adds kRequest2, the query-generic request frame: after the deadline
-// it carries a query-kind byte (0 joint, 1 marginal, 2 MPE), a payload
-// encoding byte (0 dense rows, 1 CSR sparse evidence stream), and an
-// explicit u32 sample count (dense frames must agree with payload size /
-// input width; sparse payloads are not self-describing without it). The
-// same optional trace/idempotency tail applies. A v4 client keeps
-// sending plain kRequest for dense joint traffic — byte-identical to v3
-// — and sends kRequest2 only when the server's HELLO advertised >= 4;
-// against an older server, marginal/MPE/sparse requests fail client-side
-// with a clear error instead of a protocol violation.
+// The query kind is 0 joint, 1 marginal or 2 MPE; the encoding is dense
+// sample rows or a CSR sparse evidence stream. A sparse payload is not
+// self-describing, so it needs a non-zero sample count; a dense count of
+// 0 lets the server derive it from the model's input width, and a
+// non-zero one must agree with it. Self-healing clients mint one
+// idempotency key per logical request and reuse it across retries, so a
+// server that already accepted the original answers the retry from its
+// cache instead of executing (and double-counting) the work.
+//
+// There is exactly one protocol version: a client refuses a HELLO that
+// advertises any other with ProtocolVersionError.
 #pragma once
 
 #include <cstdint>
@@ -72,16 +64,8 @@
 
 namespace spnhbm::rpc {
 
-/// Version of the frame layout described above. Bumped on any change a
-/// v1 peer could not parse; the client refuses to talk to a *newer*
-/// server but serves/accepts every version back to 1.
-inline constexpr std::uint16_t kProtocolVersion = 4;
-/// First version carrying REQUEST trace blocks and ADMIN frames.
-inline constexpr std::uint16_t kTraceProtocolVersion = 2;
-/// First version carrying REQUEST idempotency keys.
-inline constexpr std::uint16_t kIdempotencyProtocolVersion = 3;
-/// First version carrying REQUEST2 frames (query kinds + sparse evidence).
-inline constexpr std::uint16_t kQueryProtocolVersion = 4;
+/// Version of the frame layout described above, advertised in HELLO.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 
 inline constexpr std::uint32_t kFrameMagic = 0x52'4E'50'53;  // "SPNR"
 inline constexpr std::uint32_t kMaxBodyBytes = 64u << 20;
@@ -102,9 +86,6 @@ enum class FrameType : std::uint8_t {
   kShutdown = 4,
   kAdmin = 5,
   kAdminReply = 6,
-  /// v4 query-generic request (query kind + payload encoding + explicit
-  /// sample count); answered with the same kResponse as kRequest.
-  kRequest2 = 7,
 };
 
 /// Response status. kOverloaded and kNoHealthyEngine are *retryable*: the
@@ -143,30 +124,30 @@ struct RequestFrame {
   std::string model;
   /// Relative per-request deadline in microseconds; 0 = none.
   std::uint64_t deadline_us = 0;
-  std::vector<std::uint8_t> samples;
-  /// Optional (v2) distributed-tracing context. Encoded as a fixed
-  /// 16-byte trailing block only when valid; absent on v1 frames and on
-  /// untraced v2 requests.
-  telemetry::TraceContext trace;
-  /// Optional (v3) idempotency key; 0 = none. Encoded as a fixed 8-byte
-  /// trailing block (after the trace block when both are present) only
-  /// when non-zero. Stable across retries of one logical request.
-  std::uint64_t idempotency_key = 0;
-  // --- v4 kRequest2 fields (defaults describe a plain kRequest) ----------
   /// Query kind: 0 joint, 1 marginal, 2 MPE. The server folds it into the
   /// lane address (model id + query-kind suffix).
   std::uint8_t query_kind = 0;
-  /// Payload encoding: 0 dense sample rows, 1 CSR sparse evidence stream.
+  /// Payload encoding: kEncodingDense or kEncodingSparse.
   std::uint8_t encoding = 0;
-  /// Explicit sample count; a sparse payload is not self-describing
-  /// without it, and dense frames must agree with samples.size() / width.
-  /// 0 on plain kRequest frames (the width derives the count).
+  /// Sample count; required for sparse payloads, 0 = derive from the
+  /// model's input width for dense ones.
   std::uint32_t sample_count = 0;
+  std::vector<std::uint8_t> samples;
+  /// Distributed-tracing context; sent (flags & kRequestTraced) only when
+  /// valid.
+  telemetry::TraceContext trace;
+  /// Idempotency key, stable across retries of one logical request; sent
+  /// (flags & kRequestKeyed) only when non-zero.
+  std::uint64_t idempotency_key = 0;
 };
 
-/// Payload encodings of a kRequest2 frame.
+/// Payload encodings of a REQUEST frame.
 inline constexpr std::uint8_t kEncodingDense = 0;
 inline constexpr std::uint8_t kEncodingSparse = 1;
+
+/// REQUEST flag bits; any other bit is a protocol violation.
+inline constexpr std::uint8_t kRequestTraced = 1;
+inline constexpr std::uint8_t kRequestKeyed = 2;
 
 struct ResponseFrame {
   std::uint64_t request_id = 0;
@@ -175,7 +156,7 @@ struct ResponseFrame {
   std::string error;            ///< non-kOk only
 };
 
-/// Live-introspection snapshot (v2). The long sections travel as u32
+/// Live-introspection snapshot. The long sections travel as u32
 /// length-prefixed text (the Prometheus exposition of a loaded registry
 /// does not fit the u16 string cap).
 struct AdminReplyFrame {
@@ -201,19 +182,19 @@ std::uint32_t decode_frame_header(
     const std::uint8_t (&header)[kFrameHeaderBytes], FrameType& type);
 
 Frame encode_hello(const HelloFrame& hello);
+/// Throws WireError for an out-of-range query kind or encoding, or a
+/// sparse payload without a sample count.
 Frame encode_request(const RequestFrame& request);
-/// v4 query-generic request. Throws WireError for an out-of-range query
-/// kind or encoding, or a zero sample count.
-Frame encode_request2(const RequestFrame& request);
 Frame encode_response(const ResponseFrame& response);
 Frame encode_shutdown();
 Frame encode_admin();
 Frame encode_admin_reply(const AdminReplyFrame& reply);
 
-/// Body decoders; throw WireError on truncated or trailing bytes.
+/// Body decoders; throw WireError on truncated or trailing bytes (and, for
+/// REQUEST, on the field violations encode_request rejects plus unknown
+/// flag bits).
 HelloFrame decode_hello(const std::vector<std::uint8_t>& body);
 RequestFrame decode_request(const std::vector<std::uint8_t>& body);
-RequestFrame decode_request2(const std::vector<std::uint8_t>& body);
 ResponseFrame decode_response(const std::vector<std::uint8_t>& body);
 AdminReplyFrame decode_admin_reply(const std::vector<std::uint8_t>& body);
 

@@ -104,6 +104,8 @@ std::shared_ptr<RpcClient> ResilientClient::dial_with_backoff() {
       if (decision) sleep_us(decision.duration_us);
       try {
         return RpcClient::connect(config_.host, config_.port);
+      } catch (const ProtocolVersionError&) {
+        throw;  // terminal: redialing reaches the same peer
       } catch (const std::exception& e) {
         last_error = e.what();
       }
@@ -265,21 +267,13 @@ void ResilientClient::send_attempt(RequestPtr request) {
       finish(request, Status::kInternalError, {}, e.what(),
              GiveUpReason::kConnectFailed);
       return;
+    } catch (const ProtocolVersionError& e) {
+      finish(request, Status::kInvalidRequest, {}, e.what(),
+             GiveUpReason::kNonRetryable);
+      return;
     } catch (const std::exception& e) {
       finish(request, Status::kInternalError, {}, e.what(),
              GiveUpReason::kClientClosed);
-      return;
-    }
-    // A query-generic request against a pre-v4 server is terminal, not a
-    // transport failure: no amount of reconnecting upgrades the peer.
-    if (request->query.request2() &&
-        client->server_info().protocol_version < kQueryProtocolVersion) {
-      finish(request, Status::kInvalidRequest, {},
-             strformat("server speaks protocol v%u; marginal/MPE/sparse "
-                       "requests need v%u",
-                       client->server_info().protocol_version,
-                       kQueryProtocolVersion),
-             GiveUpReason::kNonRetryable);
       return;
     }
     // The send happens outside the lock: a slow peer must not stall
@@ -295,6 +289,11 @@ void ResilientClient::send_attempt(RequestPtr request) {
           },
           request->key, request->query);
       return;  // the response (or transport failure) drives the rest
+    } catch (const WireError& e) {
+      // Invalid query options: no resend could make the frame valid.
+      finish(request, Status::kInvalidRequest, {}, e.what(),
+             GiveUpReason::kNonRetryable);
+      return;
     } catch (const std::exception& e) {
       // The connection died between acquire and send; nothing reached
       // the wire, so retry immediately — the next acquire re-dials.

@@ -91,9 +91,16 @@ class InferenceRuntime {
 
   sim::ProcessRunner& runner_;
   tapasco::Device& device_;
+  /// Throws unless `byte` lies inside every lookup table of `feature`.
+  void check_byte(std::uint8_t byte, std::size_t feature) const;
+
   const compiler::DatapathModule& module_;
   RuntimeConfig config_;
   DeviceMemoryManager memory_;
+  /// Per feature: how many byte values all of its lookup tables cover.
+  /// Inputs are checked against it on the host, before any bytes move,
+  /// so a bad byte never fails inside the simulated device.
+  std::vector<std::size_t> byte_domain_;
 };
 
 }  // namespace spnhbm::runtime

@@ -29,7 +29,15 @@ InferenceRuntime::InferenceRuntime(sim::ProcessRunner& runner,
       device_(device),
       module_(module),
       config_(config),
-      memory_(device.pe_count(), device.memory_capacity_per_pe()) {
+      memory_(device.pe_count(), device.memory_capacity_per_pe()),
+      byte_domain_(module.input_features(), 256) {
+  for (const auto& op : module_.ops()) {
+    if (op.kind == compiler::OpKind::kHistogramLookup) {
+      byte_domain_[op.variable] = std::min(
+          byte_domain_[op.variable],
+          module_.tables()[op.table_index].probability_by_byte.size());
+    }
+  }
   // Typed front-door validation (not SPNHBM_REQUIRE): the autotuner and
   // the CLI probe the edges of this space, and must be able to catch the
   // rejection as a recoverable error.
@@ -173,6 +181,12 @@ RunStats InferenceRuntime::run(std::uint64_t total_samples) {
   return stats;
 }
 
+void InferenceRuntime::check_byte(std::uint8_t byte,
+                                  std::size_t feature) const {
+  SPNHBM_REQUIRE(byte < byte_domain_[feature],
+                 "feature byte outside lookup table");
+}
+
 std::vector<double> InferenceRuntime::infer(
     std::span<const std::uint8_t> samples) {
   const std::uint64_t features = module_.input_features();
@@ -182,6 +196,9 @@ std::vector<double> InferenceRuntime::infer(
   SPNHBM_REQUIRE(count > 0, "nothing to infer");
   SPNHBM_REQUIRE(device_.backing_channel(0) != nullptr,
                  "functional inference needs a platform with backing store");
+  for (std::size_t i = 0; i < samples.size(); i += features) {
+    for (std::size_t f = 0; f < features; ++f) check_byte(samples[i + f], f);
+  }
 
   auto& scheduler = runner_.scheduler();
   const DeviceBuffer input_buffer(memory_, 0, samples.size());
@@ -214,7 +231,14 @@ std::vector<double> InferenceRuntime::infer_sparse(
                  "functional inference needs a platform with backing store");
   // Validate on the host before any bytes move: a malformed stream must
   // fail here, not inside the device.
-  compiler::decode_sparse(stream, module_.input_features(), sample_count);
+  const compiler::SparseBatch batch =
+      compiler::decode_sparse(stream, module_.input_features(), sample_count);
+  for (std::size_t k = 0; k < batch.indices.size(); ++k) {
+    check_byte(batch.values[k], batch.indices[k]);
+  }
+  for (std::size_t f = 0; f < byte_domain_.size(); ++f) {
+    check_byte(module_.default_evidence()[f], f);
+  }
 
   auto& scheduler = runner_.scheduler();
   const DeviceBuffer input_buffer(memory_, 0, stream.size());

@@ -1,6 +1,7 @@
 #include "spnhbm/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "spnhbm/util/error.hpp"
 
@@ -46,7 +47,17 @@ void ThreadPool::parallel_for(
     const std::size_t end = std::min(begin + chunk_size, n);
     futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
   }
-  for (auto& future : futures) future.get();
+  // Every chunk references `fn`, so all of them must finish before the
+  // first failure propagates.
+  std::exception_ptr failure;
+  for (auto& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 void ThreadPool::worker_loop() {

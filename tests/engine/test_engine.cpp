@@ -3,12 +3,15 @@
 // runtime path, and the submit/wait contract.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 #include "spnhbm/engine/cpu_engine.hpp"
 #include "spnhbm/engine/fpga_engine.hpp"
 #include "spnhbm/engine/gpu_engine.hpp"
 #include "spnhbm/spn/evaluate.hpp"
+#include "spnhbm/spn/text_format.hpp"
 #include "spnhbm/workload/bag_of_words.hpp"
 #include "spnhbm/workload/model_zoo.hpp"
 
@@ -32,13 +35,13 @@ TEST(CrossBackend, Float64ResultsAreBitIdentical) {
   // operator program in IEEE double: CPU, FPGA simulation and the GPU
   // model must agree bit for bit.
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
   const auto samples = make_documents(10, 96, 2024);
 
-  engine::FpgaSimEngine fpga(module, *backend);
-  engine::CpuEngine cpu(module, {.threads = 2});
-  engine::GpuModelEngine gpu(module);
+  engine::FpgaSimEngine fpga(artifact);
+  engine::CpuEngine cpu(artifact, {.threads = 2});
+  engine::GpuModelEngine gpu(artifact);
 
   const auto p_fpga = fpga.infer(samples);
   const auto p_cpu = cpu.infer(samples);
@@ -58,14 +61,14 @@ TEST(CrossBackend, CfpAcceleratorMatchesCpuWithinFormatBound) {
   // documented relative bound (1e-3 above CFP's ~1e-33 flush-to-zero
   // region — same bound as the integration tests).
   const auto model = workload::make_nips_model(10);
-  const auto cfp = arith::make_cfp_backend(arith::paper_cfp_format());
-  const auto f64 = arith::make_float64_backend();
-  const auto module_cfp = compiler::compile_spn(model.spn, *cfp);
-  const auto module_f64 = compiler::compile_spn(model.spn, *f64);
+  const auto artifact_cfp = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_cfp_backend(arith::paper_cfp_format()));
+  const auto artifact_f64 = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
   const auto samples = make_documents(10, 123, 77);
 
-  engine::FpgaSimEngine fpga(module_cfp, *cfp);
-  engine::CpuEngine cpu(module_f64, {.threads = 2});
+  engine::FpgaSimEngine fpga(artifact_cfp);
+  engine::CpuEngine cpu(artifact_f64, {.threads = 2});
   const auto p_fpga = fpga.infer(samples);
   const auto p_cpu = cpu.infer(samples);
 
@@ -80,11 +83,11 @@ TEST(CrossBackend, CfpAcceleratorMatchesCpuWithinFormatBound) {
 
 TEST(CrossBackend, EnginesMatchReferenceEvaluator) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
   const auto samples = make_documents(10, 32, 5);
 
-  engine::CpuEngine cpu(module);
+  engine::CpuEngine cpu(artifact);
   const auto results = cpu.infer(samples);
   spn::Evaluator reference(model.spn);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -94,17 +97,53 @@ TEST(CrossBackend, EnginesMatchReferenceEvaluator) {
   }
 }
 
+TEST(CrossBackend, EnginesRejectBytesOutsideTheLookupTables) {
+  // The demo model compiled over a 128-byte domain: byte 200 has no
+  // table entry. Every engine must refuse it rather than read past the
+  // table (the CPU baseline used to return whatever lay behind it).
+  compiler::CompileOptions options;
+  options.input_domain = 128;
+  const auto artifact = model::ModelArtifact::compile(
+      "demo", "1",
+      spn::parse_spn(
+          "Sum(0.3*Product(Histogram(V0|[0,64,128,256];[0.0078125,0.0078125,"
+          "0.0]) * Histogram(V1|[0,128,256];[0.0078125,0.0]))"
+          " + 0.7*Product(Histogram(V0|[0,64,256];[0.0078125,"
+          "0.00260416666666666652]) * Histogram(V1|[0,128,256];[0.005,"
+          "0.0028125])))"),
+      arith::make_float64_backend(), options);
+  const std::vector<std::uint8_t> inside = {100, 30};
+  const std::vector<std::uint8_t> outside = {200, 30};
+
+  engine::FpgaSimEngine fpga(artifact);
+  engine::CpuEngine cpu(artifact, {.threads = 1});
+  engine::GpuModelEngine gpu(artifact);
+  for (engine::InferenceEngine* eng :
+       std::initializer_list<engine::InferenceEngine*>{&fpga, &cpu, &gpu}) {
+    EXPECT_GT(eng->infer(inside).at(0), 0.0) << eng->capabilities().name;
+    try {
+      eng->infer(outside);
+      ADD_FAILURE() << eng->capabilities().name << " accepted byte 200";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("feature byte outside lookup table"),
+                std::string::npos)
+          << eng->capabilities().name << ": " << e.what();
+    }
+  }
+}
+
 TEST(FpgaSimEngine, ThroughputMatchesDirectRuntimePath) {
   // measure_throughput must reproduce the pre-engine benchmark path
   // exactly: same composition, same runtime, same virtual-time result.
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_cfp_backend(arith::paper_cfp_format()));
+  const auto& module = artifact->module();
 
   engine::FpgaEngineConfig config;
   config.pe_count = 2;
   config.compute_results = false;
-  engine::FpgaSimEngine eng(module, *backend, config);
+  engine::FpgaSimEngine eng(artifact, config);
   const double via_engine = eng.measure_throughput(1'000'000);
 
   sim::Scheduler scheduler;
@@ -112,7 +151,7 @@ TEST(FpgaSimEngine, ThroughputMatchesDirectRuntimePath) {
   tapasco::CompositionConfig composition;
   composition.pe_count = 2;
   composition.compute_results = false;
-  tapasco::Device device(runner, module, *backend, composition);
+  tapasco::Device device(runner, module, artifact->backend(), composition);
   runtime::InferenceRuntime rt(runner, device, module);
   const double direct = rt.run(1'000'000).samples_per_second;
 
@@ -121,12 +160,12 @@ TEST(FpgaSimEngine, ThroughputMatchesDirectRuntimePath) {
 
 TEST(FpgaSimEngine, TimingOnlyConfigurationRejectsFunctionalBatches) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_cfp_backend(arith::paper_cfp_format());
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_cfp_backend(arith::paper_cfp_format()));
 
   engine::FpgaEngineConfig config;
   config.compute_results = false;
-  engine::FpgaSimEngine eng(module, *backend, config);
+  engine::FpgaSimEngine eng(artifact, config);
   EXPECT_FALSE(eng.capabilities().functional);
 
   std::vector<std::uint8_t> samples(10, 0);
@@ -137,9 +176,9 @@ TEST(FpgaSimEngine, TimingOnlyConfigurationRejectsFunctionalBatches) {
 
 TEST(FpgaSimEngine, StatsAccumulateAcrossBatches) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  engine::FpgaSimEngine eng(module, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
+  engine::FpgaSimEngine eng(artifact);
 
   const auto samples = make_documents(10, 20, 1);
   eng.infer(samples);
@@ -153,9 +192,9 @@ TEST(FpgaSimEngine, StatsAccumulateAcrossBatches) {
 
 TEST(Engine, SubmitValidatesSpans) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  engine::CpuEngine eng(module);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
+  engine::CpuEngine eng(artifact);
 
   std::vector<std::uint8_t> ragged(15, 0);  // not a whole number of rows
   std::vector<double> results(2);
@@ -168,9 +207,9 @@ TEST(Engine, SubmitValidatesSpans) {
 
 TEST(Engine, WaitRejectsUnknownAndReusedHandles) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  engine::FpgaSimEngine eng(module, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
+  engine::FpgaSimEngine eng(artifact);
 
   const auto samples = make_documents(10, 4, 9);
   std::vector<double> results(4);
@@ -182,12 +221,12 @@ TEST(Engine, WaitRejectsUnknownAndReusedHandles) {
 
 TEST(Engine, CapabilitiesDescribeTheBackends) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
 
-  engine::FpgaSimEngine fpga(module, *backend);
-  engine::CpuEngine cpu(module, {.threads = 3});
-  engine::GpuModelEngine gpu(module);
+  engine::FpgaSimEngine fpga(artifact);
+  engine::CpuEngine cpu(artifact, {.threads = 3});
+  engine::GpuModelEngine gpu(artifact);
 
   EXPECT_EQ(fpga.capabilities().name, "fpga-sim/hbm x1");
   EXPECT_EQ(fpga.capabilities().input_features, 10u);

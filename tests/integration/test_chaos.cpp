@@ -55,13 +55,13 @@ struct ChaosRun {
 /// requests are queued before start() so batch formation is deterministic.
 ChaosRun run_serving(const std::optional<fault::FaultPlan>& plan) {
   const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
 
   auto fpga = std::make_shared<engine::ChaosEngine>(
-      std::make_unique<engine::FpgaSimEngine>(module, *backend));
+      std::make_unique<engine::FpgaSimEngine>(artifact));
   auto cpu = std::make_shared<engine::ChaosEngine>(
-      std::make_unique<engine::CpuEngine>(module));
+      std::make_unique<engine::CpuEngine>(artifact));
 
   std::unique_ptr<fault::ScopedFaultPlan> armed;
   if (plan.has_value()) {
@@ -138,10 +138,10 @@ TEST(ChaosServing, TransientFaultsAreAbsorbedAndResultsMatchFaultFree) {
   EXPECT_EQ(baseline.stats.batch_retries, 0u);
 
   const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
   const std::string fpga_name =
-      engine::FpgaSimEngine(module, *backend).capabilities().name;
+      engine::FpgaSimEngine(artifact).capabilities().name;
 
   const ChaosRun chaos = run_serving(transient_plan(fpga_name));
 
@@ -168,10 +168,10 @@ TEST(ChaosServing, TransientFaultsAreAbsorbedAndResultsMatchFaultFree) {
 
 TEST(ChaosServing, SameSeedReproducesTheExactFaultSequence) {
   const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
   const std::string fpga_name =
-      engine::FpgaSimEngine(module, *backend).capabilities().name;
+      engine::FpgaSimEngine(artifact).capabilities().name;
   const fault::FaultPlan plan = transient_plan(fpga_name);
 
   const ChaosRun first = run_serving(plan);
@@ -196,12 +196,12 @@ TEST(ChaosServing, DisarmedInjectorLeavesTheSubstrateUntouched) {
   fault::injector().disarm();
   const std::uint64_t injected_before = fault::injector().injected();
   const auto model = workload::make_nips_model(kVariables);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_float64_backend());
   const auto samples = make_documents(64, 7);
 
-  engine::FpgaSimEngine first(module, *backend);
-  engine::FpgaSimEngine second(module, *backend);
+  engine::FpgaSimEngine first(artifact);
+  engine::FpgaSimEngine second(artifact);
   EXPECT_EQ(first.infer(samples), second.infer(samples));
   EXPECT_DOUBLE_EQ(first.measure_throughput(100'000),
                    second.measure_throughput(100'000));

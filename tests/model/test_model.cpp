@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,17 +79,6 @@ TEST(ModelArtifact, IdentityAndDescribe) {
   EXPECT_NE(text.find(artifact->content_hash_hex()), std::string::npos);
 }
 
-TEST(ModelArtifact, WrapMatchesCompileHash) {
-  // Wrapping an already-compiled module must be recognisably the *same*
-  // model as compiling it through the artifact layer.
-  const auto via_compile = compiled("m", "1");
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(test_spn(11), *backend);
-  const auto via_wrap = model::ModelArtifact::wrap("legacy", module, *backend);
-  EXPECT_EQ(via_wrap->id(), "legacy@0");
-  EXPECT_EQ(via_wrap->content_hash(), via_compile->content_hash());
-}
-
 TEST(ModelArtifact, LoadFileSniffsTextVersusBinary) {
   TempFile text("test_model_text.spn", kTextSpn);
   const auto from_text = model::ModelArtifact::load_file(
@@ -106,6 +97,36 @@ TEST(ModelArtifact, LoadFileSniffsTextVersusBinary) {
   const std::vector<std::uint8_t> row = {100, 30};
   EXPECT_DOUBLE_EQ(from_text->module().evaluate(from_text->backend(), row),
                    from_binary->module().evaluate(from_binary->backend(), row));
+}
+
+TEST(ModelArtifact, LoadFileRejectsCraftedDesigns) {
+  // The two crafted design files that used to crash `infer`: a lookup op
+  // reading variable 1000000 (SIGSEGV in every engine) and a feature
+  // count of 2^36 (std::bad_alloc). Both must be ParseErrors at load.
+  const auto source = model::ModelArtifact::load_file(
+      "demo", "1", TempFile("test_model_crafted.spn", kTextSpn).path,
+      arith::make_float64_backend());
+  std::ostringstream saved;
+  compiler::save_design(source->module(), saved);
+  const std::string bytes = saved.str();
+  const std::size_t features_at = 4 + 4 + 4 + 8 + source->input_features();
+  const std::size_t first_op_at = features_at + 8 + 4 + 4 + 8;
+  ASSERT_EQ(source->module().ops().front().kind,
+            compiler::OpKind::kHistogramLookup);
+
+  std::string far_variable = bytes;
+  const std::uint32_t variable = 1000000;
+  std::memcpy(far_variable.data() + first_op_at + 12, &variable, 4);
+  std::string huge_features = bytes;
+  const std::uint64_t features = std::uint64_t{1} << 36;
+  std::memcpy(huge_features.data() + features_at, &features, 8);
+
+  for (const std::string& crafted : {far_variable, huge_features}) {
+    TempFile file("test_model_crafted.spnd", crafted);
+    EXPECT_THROW(model::ModelArtifact::load_file(
+                     "demo", "2", file.path, arith::make_float64_backend()),
+                 ParseError);
+  }
 }
 
 TEST(ModelArtifact, LoadFileMissingPathThrows) {

@@ -586,17 +586,18 @@ TEST(RpcServer, MalformedSparseStreamsRejectWithInvalidRequest) {
   }
 }
 
-/// Minimal v3 peer: accepts connections and answers each with a HELLO
-/// advertising protocol_version 3, then holds the socket open.
-struct V3Peer {
-  V3Peer() : listener(0) {
-    acceptor = std::thread([this] {
+/// Minimal peer speaking another protocol version: accepts connections
+/// and answers each with a HELLO advertising `version`, then holds the
+/// socket open until the client hangs up.
+struct VersionPeer {
+  explicit VersionPeer(std::uint16_t version) : listener(0) {
+    acceptor = std::thread([this, version] {
       while (true) {
         Socket conn = listener.accept();
         if (!conn.valid()) return;  // listener shut down
         HelloFrame hello;
-        hello.protocol_version = 3;
-        hello.build_version = "old-build";
+        hello.protocol_version = version;
+        hello.build_version = "other-build";
         hello.models = {{"q@1", static_cast<std::uint32_t>(kQueryVars)}};
         const auto wire = encode_frame(encode_hello(hello));
         conn.send_all(wire.data(), wire.size());
@@ -609,7 +610,7 @@ struct V3Peer {
     });
   }
 
-  ~V3Peer() {
+  ~VersionPeer() {
     listener.shutdown();
     acceptor.join();
   }
@@ -618,24 +619,11 @@ struct V3Peer {
   std::thread acceptor;
 };
 
-TEST(RpcServer, QueryRequestsAgainstV3PeerFailClientSide) {
-  V3Peer peer;
-  const auto client =
-      RpcClient::connect("127.0.0.1", peer.listener.port());
-  EXPECT_EQ(client->server_info().protocol_version, 3u);
-
-  // Marginal/MPE/sparse requests need v4: the client refuses before
-  // sending a frame the old server could not parse.
-  QueryOptions marginal;
-  marginal.query_kind = 1;
-  EXPECT_THROW(client->submit("q@1", std::vector<std::uint8_t>(kQueryVars, 0),
-                              0, 0, marginal),
-               RpcError);
-  EXPECT_TRUE(client->alive());  // the refusal never touched the socket
-}
-
-TEST(RpcServer, ResilientClientGivesUpOnV3PeerWithoutRetrying) {
-  V3Peer peer;
+/// A resilient client against a peer of another protocol version gives
+/// up at once: terminal, not transport, so no request reaches the wire
+/// and no backoff is ever scheduled.
+void expect_resilient_give_up(std::uint16_t version) {
+  VersionPeer peer(version);
   ResilientClientConfig config;
   config.port = peer.listener.port();
   config.max_attempts = 5;
@@ -648,12 +636,94 @@ TEST(RpcServer, ResilientClientGivesUpOnV3PeerWithoutRetrying) {
                  marginal);
     FAIL() << "expected RpcGiveUpError";
   } catch (const RpcGiveUpError& e) {
-    // Terminal, not transport: one classification, zero retries.
     EXPECT_EQ(e.reason(), GiveUpReason::kNonRetryable);
     EXPECT_EQ(e.last_status(), Status::kInvalidRequest);
   }
   EXPECT_TRUE(client.retry_log().empty());
+  EXPECT_EQ(client.connects(), 0u);
   client.close();
+}
+
+TEST(RpcServer, QueryRequestsAgainstV3PeerFailClientSide) {
+  // A v3 peer is refused at the handshake, before any request is sent.
+  VersionPeer peer(3);
+  try {
+    RpcClient::connect("127.0.0.1", peer.listener.port());
+    FAIL() << "expected ProtocolVersionError";
+  } catch (const ProtocolVersionError& e) {
+    EXPECT_EQ(e.version(), 3u);
+  }
+}
+
+TEST(RpcServer, ResilientClientGivesUpOnV3PeerWithoutRetrying) {
+  expect_resilient_give_up(3);
+}
+
+TEST(RpcServer, NeighbouringProtocolVersionsAreRefused) {
+  for (const std::uint16_t version :
+       {std::uint16_t(kProtocolVersion - 1),
+        std::uint16_t(kProtocolVersion + 1)}) {
+    VersionPeer peer(version);
+    EXPECT_THROW(RpcClient::connect("127.0.0.1", peer.listener.port()),
+                 ProtocolVersionError)
+        << version;
+    // The raw handshake `spnhbm top` performs refuses it the same way.
+    Socket raw = Socket::connect("127.0.0.1", peer.listener.port());
+    EXPECT_THROW(receive_hello(raw), ProtocolVersionError) << version;
+    expect_resilient_give_up(version);
+  }
+}
+
+TEST(RpcServer, InvalidQueryOptionsFailBeforeSending) {
+  Harness harness;
+  QueryOptions sparse_without_count;
+  sparse_without_count.encoding = kEncodingSparse;
+
+  // The plain client throws the codec's WireError synchronously...
+  const auto client = harness.connect();
+  EXPECT_THROW(client->submit("mock@1", {0, 0}, 0, 0, sparse_without_count),
+               WireError);
+  EXPECT_TRUE(client->alive());
+
+  // ...and the resilient client gives up at once instead of redialing.
+  ResilientClientConfig config;
+  config.port = harness.front->port();
+  config.max_attempts = 5;
+  ResilientClient resilient(config);
+  try {
+    resilient.infer("mock@1", {0, 0}, 0, sparse_without_count);
+    FAIL() << "expected RpcGiveUpError";
+  } catch (const RpcGiveUpError& e) {
+    EXPECT_EQ(e.reason(), GiveUpReason::kNonRetryable);
+  }
+  EXPECT_TRUE(resilient.retry_log().empty());
+  resilient.close();
+  EXPECT_EQ(harness.front->stats().received, 0u);
+}
+
+TEST(RpcServer, DenseSampleCountIsDerivedOrCrossChecked) {
+  Harness harness;
+  const auto client = harness.connect();
+
+  // Count 0 = derived from the payload; a matching count is accepted.
+  EXPECT_EQ(client->infer("mock@1", make_request(3, 5)).size(), 3u);
+  QueryOptions matching;
+  matching.sample_count = 3;
+  EXPECT_EQ(client->infer("mock@1", make_request(3, 5), 0, matching).size(),
+            3u);
+
+  // A count that disagrees with payload / width is an invalid request.
+  QueryOptions wrong;
+  wrong.sample_count = 2;
+  try {
+    client->infer("mock@1", make_request(3, 5), 0, wrong);
+    FAIL() << "expected kInvalidRequest";
+  } catch (const RpcStatusError& e) {
+    EXPECT_EQ(e.status(), Status::kInvalidRequest);
+  }
+  const RpcServerStats stats = harness.front->stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_TRUE(stats.conserved()) << stats.describe();
 }
 
 }  // namespace

@@ -116,6 +116,8 @@ TEST(Wire, HeaderRejectsBadMagicTypeAndOversizedBody) {
 
   header[4] = 99;  // unknown frame type
   EXPECT_THROW(decode_frame_header(header, type), WireError);
+  header[4] = 7;  // one past kAdminReply
+  EXPECT_THROW(decode_frame_header(header, type), WireError);
   header[4] = static_cast<std::uint8_t>(FrameType::kShutdown);
 
   // body_length past kMaxBodyBytes is a violation, not an allocation.
@@ -140,6 +142,14 @@ TEST(Wire, DecodersRejectTruncatedAndTrailingBytes) {
   std::vector<std::uint8_t> trailing = frame.body;
   trailing.push_back(0);
   EXPECT_THROW(decode_request(trailing), WireError);
+
+  // A result count far past the body is a truncation, not a huge
+  // allocation.
+  ResponseFrame response;
+  response.results = {1.0};
+  std::vector<std::uint8_t> lying = encode_response(response).body;
+  for (std::size_t i = 9; i < 13; ++i) lying[i] = 0xFF;  // u32 count
+  EXPECT_THROW(decode_response(lying), WireError);
 }
 
 TEST(Wire, TraceBlockRoundtripsWhenSet) {
@@ -157,9 +167,8 @@ TEST(Wire, TraceBlockRoundtripsWhenSet) {
 }
 
 TEST(Wire, UntracedRequestOmitsTheTraceBlock) {
-  // A v2 request without a context is byte-identical to the v1 layout:
-  // the optional trailing block is absent, not zero-filled, so a v1 peer
-  // parses it unchanged.
+  // Without a context the trace flag is clear and the block is absent,
+  // not zero-filled.
   RequestFrame traced, untraced;
   traced.model = untraced.model = "m@1";
   traced.samples = untraced.samples = {1, 2, 3};
@@ -171,32 +180,45 @@ TEST(Wire, UntracedRequestOmitsTheTraceBlock) {
   EXPECT_EQ(decoded.trace.trace_id, 0u);
 }
 
-TEST(Wire, V1PeerRequestBodyStillDecodes) {
-  // Hand-build the v1 body layout: u64 request_id, string model,
-  // u64 deadline_us, u32-length samples — and nothing after it.
-  const auto put_u32 = [](std::vector<std::uint8_t>& b, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  const auto put_u64 = [](std::vector<std::uint8_t>& b, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
+// Hand-built body prefix up to (not including) the flags byte.
+std::vector<std::uint8_t> request_prefix(std::uint8_t query_kind,
+                                         std::uint8_t encoding,
+                                         std::uint32_t sample_count) {
   std::vector<std::uint8_t> body;
-  put_u64(body, 77);               // request_id
-  body.push_back(3);               // u16 string length, little-endian
-  body.push_back(0);
-  body.push_back('m');
-  body.push_back('@');
-  body.push_back('1');
-  put_u64(body, 0);                // deadline_us
-  put_u32(body, 2);                // samples length
-  body.push_back(0xAA);
-  body.push_back(0xBB);
+  const auto put = [&body](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(77, 8);                          // request id
+  put(3, 2);                           // model string length
+  body.insert(body.end(), {'m', '@', '1'});
+  put(0, 8);                           // deadline
+  body.push_back(query_kind);
+  body.push_back(encoding);
+  put(sample_count, 4);
+  return body;
+}
 
-  const RequestFrame decoded = decode_request(body);
-  EXPECT_EQ(decoded.request_id, 77u);
-  EXPECT_EQ(decoded.model, "m@1");
-  ASSERT_EQ(decoded.samples.size(), 2u);
-  EXPECT_FALSE(decoded.trace.valid());
+TEST(Wire, LegacyRequestLayoutsAreRejected) {
+  // The pre-flags layout (id, model, deadline, payload and nothing else)
+  // no longer parses: its deadline is followed by a payload length, not
+  // by the query fields and flags.
+  std::vector<std::uint8_t> legacy = request_prefix(0, 0, 0);
+  legacy.resize(legacy.size() - 6);  // drop kind, encoding, count
+  legacy.insert(legacy.end(), {2, 0, 0, 0, 0xAA, 0xBB});
+  EXPECT_THROW(decode_request(legacy), WireError);
+
+  // Frame type 7 (the retired second request frame) is an unknown type.
+  RequestFrame request;
+  request.model = "m@1";
+  request.samples = {1};
+  auto wire = encode_frame(encode_request(request));
+  wire[4] = 7;
+  std::uint8_t header[kFrameHeaderBytes];
+  std::copy(wire.begin(), wire.begin() + kFrameHeaderBytes, header);
+  FrameType type;
+  EXPECT_THROW(decode_frame_header(header, type), WireError);
 }
 
 TEST(Wire, TracedRequestRejectsTruncatedAndTrailingBytes) {
@@ -206,7 +228,7 @@ TEST(Wire, TracedRequestRejectsTruncatedAndTrailingBytes) {
   request.trace.trace_id = 99;
   const Frame frame = encode_request(request);
 
-  // A partial trace block is a violation, not a silent v1 fallback.
+  // A partial trace block is a violation.
   std::vector<std::uint8_t> truncated(frame.body.begin(),
                                       frame.body.end() - 1);
   EXPECT_THROW(decode_request(truncated), WireError);
@@ -217,7 +239,6 @@ TEST(Wire, TracedRequestRejectsTruncatedAndTrailingBytes) {
 }
 
 TEST(Wire, IdempotencyKeyRoundtripsAlone) {
-  // Tail of 8 bytes = key without a trace block (v3).
   RequestFrame request;
   request.model = "m@1";
   request.samples = {1, 2, 3};
@@ -229,7 +250,7 @@ TEST(Wire, IdempotencyKeyRoundtripsAlone) {
 }
 
 TEST(Wire, IdempotencyKeyRoundtripsWithTraceBlock) {
-  // Tail of 24 bytes = trace block then key; both must survive.
+  // Both flags: trace block then key; both must survive.
   RequestFrame request;
   request.model = "m@1";
   request.samples = {1, 2, 3};
@@ -244,8 +265,7 @@ TEST(Wire, IdempotencyKeyRoundtripsWithTraceBlock) {
 }
 
 TEST(Wire, KeylessRequestOmitsTheKeyBlock) {
-  // Key 0 means "no key": the frame stays byte-identical to the v1/v2
-  // layouts so old peers parse it unchanged.
+  // Key 0 means "no key": the key flag is clear and the block absent.
   RequestFrame keyed, keyless;
   keyed.model = keyless.model = "m@1";
   keyed.samples = keyless.samples = {1, 2, 3};
@@ -257,14 +277,13 @@ TEST(Wire, KeylessRequestOmitsTheKeyBlock) {
 }
 
 TEST(Wire, KeyedRequestRejectsTruncatedAndTrailingBytes) {
-  // A malformed tail (7 or 9 bytes of trailing block) is a violation —
-  // the 0/8/16/24 disambiguation must not guess.
   RequestFrame request;
   request.model = "m@1";
   request.samples = {1, 2, 3};
   request.idempotency_key = 42;
   const Frame frame = encode_request(request);
 
+  // A partial key is a violation.
   std::vector<std::uint8_t> truncated(frame.body.begin(),
                                       frame.body.end() - 1);
   EXPECT_THROW(decode_request(truncated), WireError);
@@ -274,7 +293,70 @@ TEST(Wire, KeyedRequestRejectsTruncatedAndTrailingBytes) {
   EXPECT_THROW(decode_request(trailing), WireError);
 }
 
+TEST(Wire, RequestRoundtripsEveryShapeAndFlagCombination) {
+  struct Shape {
+    std::uint8_t query_kind;
+    std::uint8_t encoding;
+    std::uint32_t sample_count;
+    std::vector<std::uint8_t> samples;
+  };
+  const std::vector<Shape> shapes = {
+      {0, kEncodingDense, 0, {1, 2, 3, 4}},                // dense joint
+      {1, kEncodingDense, 2, {1, 0xFF, 3, 4}},             // dense marginal
+      {1, kEncodingSparse, 2, {1, 0, 3, 0, 9, 0, 0}},      // sparse marginal
+  };
+  const std::size_t flags_offset = 8 + 2 + 3 + 8 + 1 + 1 + 4;
+  for (const Shape& shape : shapes) {
+    for (std::uint8_t flags = 0; flags < 4; ++flags) {
+      RequestFrame request;
+      request.request_id = 1000u + flags;
+      request.model = "m@1";
+      request.deadline_us = 123;
+      request.query_kind = shape.query_kind;
+      request.encoding = shape.encoding;
+      request.sample_count = shape.sample_count;
+      request.samples = shape.samples;
+      if (flags & kRequestTraced) {
+        request.trace.trace_id = 0x5150ull;
+        request.trace.parent_span = 0x77;
+      }
+      if (flags & kRequestKeyed) request.idempotency_key = 0xC0FFEEull;
+      const Frame frame = encode_request(request);
+      EXPECT_EQ(frame.type, FrameType::kRequest);
+      ASSERT_GT(frame.body.size(), flags_offset);
+      EXPECT_EQ(frame.body[flags_offset], flags);
+      EXPECT_EQ(frame.body.size(),
+                flags_offset + 1 + 4 + shape.samples.size() +
+                    ((flags & kRequestTraced) ? 16 : 0) +
+                    ((flags & kRequestKeyed) ? 8 : 0));
+      const RequestFrame decoded = decode_request(frame.body);
+      EXPECT_EQ(decoded.request_id, request.request_id);
+      EXPECT_EQ(decoded.model, request.model);
+      EXPECT_EQ(decoded.deadline_us, request.deadline_us);
+      EXPECT_EQ(decoded.query_kind, request.query_kind);
+      EXPECT_EQ(decoded.encoding, request.encoding);
+      EXPECT_EQ(decoded.sample_count, request.sample_count);
+      EXPECT_EQ(decoded.samples, request.samples);
+      EXPECT_EQ(decoded.trace.trace_id, request.trace.trace_id);
+      EXPECT_EQ(decoded.trace.parent_span, request.trace.parent_span);
+      EXPECT_EQ(decoded.idempotency_key, request.idempotency_key);
+    }
+  }
+}
+
+TEST(Wire, RequestDecoderRejectsUnknownFlagBits) {
+  for (const std::uint8_t flags : {4, 8, 0x80, 0xFF}) {
+    std::vector<std::uint8_t> body = request_prefix(0, kEncodingDense, 0);
+    body.push_back(flags);
+    body.insert(body.end(), {1, 0, 0, 0, 0xAA});  // 1-byte payload
+    body.resize(body.size() + 24);  // room for any known tail
+    EXPECT_THROW(decode_request(body), WireError) << int(flags);
+  }
+}
+
 TEST(Wire, Request2RoundtripDense) {
+  // Query fields of a dense marginal request travel in the one REQUEST
+  // frame.
   RequestFrame request;
   request.request_id = 0xFEEDFACEull;
   request.model = "m@1";
@@ -283,9 +365,9 @@ TEST(Wire, Request2RoundtripDense) {
   request.encoding = kEncodingDense;
   request.sample_count = 2;
   request.samples = {1, 2, 3, 4, 5, 6};
-  const Frame frame = encode_request2(request);
-  EXPECT_EQ(frame.type, FrameType::kRequest2);
-  const RequestFrame decoded = decode_request2(frame.body);
+  const Frame frame = encode_request(request);
+  EXPECT_EQ(frame.type, FrameType::kRequest);
+  const RequestFrame decoded = decode_request(frame.body);
   EXPECT_EQ(decoded.request_id, request.request_id);
   EXPECT_EQ(decoded.model, request.model);
   EXPECT_EQ(decoded.deadline_us, request.deadline_us);
@@ -298,8 +380,7 @@ TEST(Wire, Request2RoundtripDense) {
 }
 
 TEST(Wire, Request2RoundtripSparseWithTraceAndKey) {
-  // The full tail (trace block then key, 24 bytes) must survive after
-  // the v4 fields, same disambiguation as plain REQUEST.
+  // A sparse MPE request with both optional blocks.
   RequestFrame request;
   request.request_id = 21;
   request.model = "m@1";
@@ -311,7 +392,7 @@ TEST(Wire, Request2RoundtripSparseWithTraceAndKey) {
   request.trace.trace_id = 0x77ull;
   request.trace.parent_span = 5;
   request.idempotency_key = 0xA5A5A5A5ull;
-  const RequestFrame decoded = decode_request2(encode_request2(request).body);
+  const RequestFrame decoded = decode_request(encode_request(request).body);
   EXPECT_EQ(decoded.query_kind, 2);
   EXPECT_EQ(decoded.encoding, kEncodingSparse);
   EXPECT_EQ(decoded.sample_count, 3u);
@@ -330,15 +411,19 @@ TEST(Wire, Request2EncoderRejectsBadFields) {
 
   RequestFrame bad_kind = request;
   bad_kind.query_kind = 3;
-  EXPECT_THROW(encode_request2(bad_kind), WireError);
+  EXPECT_THROW(encode_request(bad_kind), WireError);
 
   RequestFrame bad_encoding = request;
   bad_encoding.encoding = 2;
-  EXPECT_THROW(encode_request2(bad_encoding), WireError);
+  EXPECT_THROW(encode_request(bad_encoding), WireError);
 
-  RequestFrame zero_count = request;
-  zero_count.sample_count = 0;
-  EXPECT_THROW(encode_request2(zero_count), WireError);
+  // A dense count of 0 is "derive it"; a sparse one is a violation.
+  RequestFrame zero_dense = request;
+  zero_dense.sample_count = 0;
+  EXPECT_NO_THROW(encode_request(zero_dense));
+  RequestFrame zero_sparse = zero_dense;
+  zero_sparse.encoding = kEncodingSparse;
+  EXPECT_THROW(encode_request(zero_sparse), WireError);
 }
 
 TEST(Wire, Request2RejectsTruncatedAndTrailingBytes) {
@@ -348,39 +433,44 @@ TEST(Wire, Request2RejectsTruncatedAndTrailingBytes) {
   request.encoding = kEncodingSparse;
   request.sample_count = 1;
   request.samples = {1, 0, 2, 0, 9};
-  const Frame frame = encode_request2(request);
+  const Frame frame = encode_request(request);
 
   std::vector<std::uint8_t> truncated(frame.body.begin(),
                                       frame.body.end() - 1);
-  EXPECT_THROW(decode_request2(truncated), WireError);
+  EXPECT_THROW(decode_request(truncated), WireError);
 
   std::vector<std::uint8_t> trailing = frame.body;
   trailing.push_back(0);
-  EXPECT_THROW(decode_request2(trailing), WireError);
+  EXPECT_THROW(decode_request(trailing), WireError);
 }
 
 TEST(Wire, Request2DecoderRejectsCorruptQueryAndEncodingBytes) {
   // Corrupt the encoded bytes in place: the query-kind and encoding bytes
   // sit right after the u64 deadline, which follows the u16-length model
-  // string and the u64 request id.
+  // string and the u64 request id; the u32 sample count follows them.
   RequestFrame request;
   request.model = "m@1";
   request.query_kind = 1;
-  request.encoding = kEncodingDense;
+  request.encoding = kEncodingSparse;
   request.sample_count = 1;
-  request.samples = {1, 2, 3};
-  const Frame frame = encode_request2(request);
+  request.samples = {1, 0, 2, 0, 9};
+  const Frame frame = encode_request(request);
   const std::size_t query_offset = 8 + 2 + 3 + 8;  // id, len, "m@1", deadline
 
   std::vector<std::uint8_t> bad_kind = frame.body;
   ASSERT_EQ(bad_kind[query_offset], 1);
   bad_kind[query_offset] = 9;
-  EXPECT_THROW(decode_request2(bad_kind), WireError);
+  EXPECT_THROW(decode_request(bad_kind), WireError);
 
   std::vector<std::uint8_t> bad_encoding = frame.body;
-  ASSERT_EQ(bad_encoding[query_offset + 1], kEncodingDense);
+  ASSERT_EQ(bad_encoding[query_offset + 1], kEncodingSparse);
   bad_encoding[query_offset + 1] = 7;
-  EXPECT_THROW(decode_request2(bad_encoding), WireError);
+  EXPECT_THROW(decode_request(bad_encoding), WireError);
+
+  std::vector<std::uint8_t> zero_sparse_count = frame.body;
+  ASSERT_EQ(zero_sparse_count[query_offset + 2], 1);
+  zero_sparse_count[query_offset + 2] = 0;
+  EXPECT_THROW(decode_request(zero_sparse_count), WireError);
 }
 
 TEST(Wire, AdminFrameHasEmptyBody) {

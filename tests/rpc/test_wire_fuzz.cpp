@@ -1,11 +1,11 @@
 // Wire-protocol fuzz: a live RpcServer is fed >= 10k seeded malformed
 // frames — truncations, bad magic, oversized length claims, random bit
-// flips, random bodies under valid headers (all v4 frame types, REQUEST2
-// included), and structurally valid REQUEST2 frames carrying broken v4
-// fields or malformed CSR sparse streams — and must neither crash nor
-// wedge: every violating connection is closed cleanly, the conservation
-// identities keep holding, and a well-formed client still gets correct
-// results afterwards.
+// flips, random bodies under valid headers (every frame type plus the
+// retired type 7), and structurally valid REQUEST frames carrying broken
+// query fields, unknown flag bits or malformed CSR sparse streams — and
+// must neither crash nor wedge: every violating connection is closed
+// cleanly, the conservation identities keep holding, and a well-formed
+// client still gets correct results afterwards.
 //
 // Shutdown frames (type 4) are explicitly excluded from the generator:
 // a valid remote shutdown is a feature, not a malformation, and firing
@@ -37,6 +37,14 @@ using engine_test::make_request;
 constexpr std::size_t kFuzzFrames = 10'000;
 constexpr std::uint8_t kShutdownType = 4;
 
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
 std::vector<std::uint8_t> valid_request_wire(Rng& rng) {
   RequestFrame request;
   request.request_id = rng.next_u64();
@@ -44,15 +52,16 @@ std::vector<std::uint8_t> valid_request_wire(Rng& rng) {
   request.samples = make_request(1 + rng.next_below(3),
                                  static_cast<std::uint8_t>(rng.next_u64()));
   if (rng.next_below(4) == 0) request.idempotency_key = rng.next_u64() | 1;
+  if (rng.next_below(4) == 0) request.trace.trace_id = rng.next_u64() | 1;
   return encode_frame(encode_request(request));
 }
 
-/// A structurally valid REQUEST2 frame whose v4 fields or sparse payload
-/// are wrong: bogus query-kind/encoding bytes, sample-count lies, and
-/// CSR streams that are truncated, out of range, duplicated or
-/// non-increasing. The server must answer with a typed rejection or a
-/// clean close — never a crash and never an engine fault.
-std::vector<std::uint8_t> malformed_request2_wire(Rng& rng) {
+/// A structurally valid REQUEST frame whose query fields or sparse
+/// payload are wrong: bogus query-kind/encoding bytes, unknown flag bits,
+/// sample-count lies, and CSR streams that are truncated, out of range,
+/// duplicated or non-increasing. The server must answer with a typed
+/// rejection or a clean close — never a crash and never an engine fault.
+std::vector<std::uint8_t> malformed_query_wire(Rng& rng) {
   RequestFrame request;
   request.request_id = rng.next_u64();
   request.model = "mock@1";
@@ -79,24 +88,29 @@ std::vector<std::uint8_t> malformed_request2_wire(Rng& rng) {
       }
       break;
   }
-  std::vector<std::uint8_t> wire = encode_frame(encode_request2(request));
-  // In a third of the frames, also corrupt the query-kind/encoding bytes
-  // in place (the encoder refuses to produce them, the decoder must not).
-  if (rng.next_below(3) == 0) {
-    const std::size_t query_offset =
-        kFrameHeaderBytes + 8 + 2 + request.model.size() + 8;
-    wire[query_offset + rng.next_below(2)] =
-        static_cast<std::uint8_t>(3 + rng.next_below(250));
+  std::vector<std::uint8_t> wire = encode_frame(encode_request(request));
+  // In half of the frames, also corrupt the query-kind or encoding byte,
+  // zero the sample count or set an unknown flag bit in place (the
+  // encoder refuses to produce them, the decoder must not accept them).
+  const std::size_t query_offset =
+      kFrameHeaderBytes + 8 + 2 + request.model.size() + 8;
+  switch (rng.next_below(8)) {
+    case 0:
+    case 1:
+      wire[query_offset + rng.next_below(2)] =
+          static_cast<std::uint8_t>(3 + rng.next_below(250));
+      break;
+    case 2:
+      put_u32(wire, query_offset + 2, 0);
+      break;
+    case 3:
+      wire[query_offset + 6] |=
+          static_cast<std::uint8_t>(4u << rng.next_below(6));
+      break;
+    default:
+      break;
   }
   return wire;
-}
-
-void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
-             std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    bytes[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
 }
 
 std::vector<std::uint8_t> malformed_frame(Rng& rng) {
@@ -134,7 +148,7 @@ std::vector<std::uint8_t> malformed_frame(Rng& rng) {
                       rng.next_below(0xFFFFFFFFu - kMaxBodyBytes - 1)));
       break;
     }
-    case 5: {  // valid header (any v4 frame type), random body bytes
+    case 5: {  // valid header (types 1..7, 7 retired), random body bytes
       const std::uint32_t body_len = 1 + rng.next_below(128);
       wire.resize(kFrameHeaderBytes + body_len);
       put_u32(wire, 0, kFrameMagic);
@@ -145,8 +159,8 @@ std::vector<std::uint8_t> malformed_frame(Rng& rng) {
       }
       break;
     }
-    default: {  // structurally valid REQUEST2 with broken v4/sparse content
-      wire = malformed_request2_wire(rng);
+    default: {  // structurally valid REQUEST with broken query content
+      wire = malformed_query_wire(rng);
       break;
     }
   }

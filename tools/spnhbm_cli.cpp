@@ -71,7 +71,7 @@
 //       probability. --request-timeout sets the per-request deadline.
 //       --queries compiles and serves one lane per listed query kind —
 //       a marginal lane is addressed as "model@1#marginal" over the
-//       wire, or by a plain kRequest2 query-kind byte.
+//       wire, or by the REQUEST frame's query-kind byte.
 //       --tuning manifest.json (repeatable; name=path with --model)
 //       applies a `spnhbm tune` manifest to the lane whose query kind it
 //       was minted for: the engine composes with the tuned block size and
@@ -129,8 +129,8 @@
 //       to the server, and the client-side spans land in the Chrome
 //       trace. --report-out writes a BENCH-shaped JSON latency report
 //       for tools/bench_compare. --query targets a marginal/MPE lane
-//       (kRequest2 frames) and --sparse re-encodes every payload row as
-//       a CSR sparse evidence stream.
+//       (the REQUEST query-kind byte) and --sparse re-encodes every
+//       payload row as a CSR sparse evidence stream.
 //
 //   spnhbm loadgen --connect HOST:PORT --model a[:weight] --model b[:weight]
 //                  --requests a=a.csv --requests b=b.csv [...]
@@ -144,9 +144,9 @@
 //                [--evidence 'x3=1,x17=0' ...]
 //       Remote inference against a `serve --listen` process; prints one
 //       probability per row, byte-identical to the local engine path.
-//       --query/--sparse/--evidence mirror the local flags over the v4
-//       wire (kRequest2 frames); the server must serve a lane of that
-//       query kind (serve --queries ...).
+//       --query/--sparse/--evidence mirror the local flags over the
+//       wire; the server must serve a lane of that query kind
+//       (serve --queries ...).
 //
 //   spnhbm top --connect HOST:PORT [--interval-ms MS] [--count N | --once]
 //       Live introspection of a `serve --listen` process over the ADMIN
@@ -1543,28 +1543,7 @@ int cmd_top(const Args& args) {
       std::atoll(args.option("interval-ms", "1000").c_str()));
 
   rpc::Socket socket = rpc::Socket::connect(host, port);
-  // Consume the hello that opens every connection.
-  std::uint8_t header[rpc::kFrameHeaderBytes];
-  if (!socket.recv_exact(header, sizeof(header))) {
-    throw Error("server closed the connection before the handshake");
-  }
-  rpc::FrameType type;
-  const std::uint32_t body_length = rpc::decode_frame_header(header, type);
-  if (type != rpc::FrameType::kHello) {
-    throw Error("expected a hello frame, got type " +
-                std::to_string(static_cast<unsigned>(type)));
-  }
-  std::vector<std::uint8_t> body(body_length);
-  if (body_length > 0 && !socket.recv_exact(body.data(), body_length)) {
-    throw Error("server closed the connection mid-handshake");
-  }
-  const rpc::HelloFrame hello = rpc::decode_hello(body);
-  if (hello.protocol_version < rpc::kTraceProtocolVersion) {
-    throw Error(strformat("server speaks protocol v%u, which has no ADMIN "
-                          "frames (needs v%u+)",
-                          hello.protocol_version,
-                          rpc::kTraceProtocolVersion));
-  }
+  rpc::receive_hello(socket);
 
   std::map<std::string, double> previous;
   auto previous_time = std::chrono::steady_clock::now();
