@@ -76,7 +76,7 @@ void BM_CpuEngineBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(count));
 }
-BENCHMARK(BM_CpuEngineBatch)->Arg(10)->Arg(80);
+BENCHMARK(BM_CpuEngineBatch)->Arg(10)->Arg(80)->UseRealTime();
 
 // Full server path: small independent requests coalesced into engine
 // batches — measures the scheduler's per-request overhead, not the math.
@@ -107,7 +107,7 @@ void BM_ServerSmallRequests(benchmark::State& state) {
                           static_cast<std::int64_t>(requests));
   server.stop();
 }
-BENCHMARK(BM_ServerSmallRequests);
+BENCHMARK(BM_ServerSmallRequests)->UseRealTime();
 
 }  // namespace
 

@@ -5,7 +5,8 @@
 // named model; the server
 //   * queues them per model (a "lane"), bounded: once queued + in-flight
 //     samples reach ServerConfig::max_queue_samples, submit() blocks
-//     (backpressure) and try_submit() rejects,
+//     (backpressure) and try_submit() rejects; every entry point runs
+//     through one private enqueue(),
 //   * coalesces adjacent same-model requests into engine batches of up to
 //     batch_samples — batches never mix models — flushing a partial batch
 //     once the oldest queued request of its lane has waited max_latency
@@ -97,6 +98,14 @@ class DeadlineExceededError : public Error {
  public:
   explicit DeadlineExceededError(const std::string& what)
       : Error("deadline exceeded: " + what) {}
+};
+
+/// The request holds more samples than ServerConfig::max_queue_samples,
+/// so it could never be queued. Not retryable: the client must split it.
+class RequestTooLargeError : public Error {
+ public:
+  explicit RequestTooLargeError(const std::string& what)
+      : Error("request too large: " + what) {}
 };
 
 /// Every engine of the addressed model is quarantined and no
@@ -286,24 +295,26 @@ class InferenceServer : public InferenceService {
   /// then stops all threads. Idempotent; the destructor calls it.
   void stop();
 
+  // Every submit throws RequestTooLargeError for a request larger than
+  // the whole queue bound, NoHealthyEngineError while every engine of the
+  // model is quarantined, and RuntimeApiError before any engine is
+  // registered, after stop() and for unknown or ambiguous models.
+
   /// Blocking submit against the server's sole model: applies backpressure
   /// by waiting for queue space. `samples` is rows of the model's
   /// input_features bytes; the future resolves to one probability per row
   /// (or rethrows the engine's failure / a deadline error). Throws
-  /// RuntimeApiError before any engine is registered, after stop(), or
-  /// when more than one model is served (use the model overload), and
-  /// NoHealthyEngineError while every engine of the model is quarantined.
+  /// RuntimeApiError unless exactly one model lane is open (use the model
+  /// overload).
   std::future<std::vector<double>> submit(std::vector<std::uint8_t> samples);
 
   /// Blocking submit against a named model ("name@version", bare name when
-  /// unambiguous). Throws RuntimeApiError for unknown/ambiguous models.
+  /// unambiguous).
   std::future<std::vector<double>> submit(const std::string& model,
                                           std::vector<std::uint8_t> samples);
 
   /// Non-blocking submits: return std::nullopt when the queue bound would
-  /// be exceeded. Same fail-fast errors as submit().
-  std::optional<std::future<std::vector<double>>> try_submit(
-      std::vector<std::uint8_t> samples);
+  /// be exceeded.
   std::optional<std::future<std::vector<double>>> try_submit(
       const std::string& model, std::vector<std::uint8_t> samples) override;
   /// Trace-carrying variant: the context is attached to the pending
@@ -316,9 +327,9 @@ class InferenceServer : public InferenceService {
   /// `sample_count` samples. The stream is validated at this front door
   /// (a malformed one throws ParseError here, never inside an engine
   /// where it would read as an engine fault and trip the health
-  /// machinery). A sparse request is dispatched as one indivisible batch:
-  /// the stream is not sliceable at sample granularity without
-  /// re-encoding, so it is never coalesced with other requests.
+  /// machinery). The stream is self-delimiting per sample (a u16 count,
+  /// then index/value pairs), but by current policy a sparse request is
+  /// dispatched alone as one batch, never coalesced or sliced.
   std::optional<std::future<std::vector<double>>> try_submit_sparse(
       const std::string& model, std::vector<std::uint8_t> stream,
       std::size_t sample_count,
@@ -343,12 +354,8 @@ class InferenceServer : public InferenceService {
 
   /// Queued + in-flight samples (the backpressure quantity).
   std::size_t outstanding_samples() const override;
-  /// Input width of the server's sole model (0 before registration).
-  /// Throws RuntimeApiError when more than one model is served.
-  std::size_t input_features() const;
   /// Input width of a named model; throws RuntimeApiError when unknown.
   std::size_t input_features(const std::string& model) const override;
-  std::size_t batch_samples() const { return batch_samples_; }
   /// Effective coalescing target of a named model's lane (tuned per-lane
   /// override or the server-wide target). Throws RuntimeApiError for
   /// unknown/ambiguous models.
@@ -482,24 +489,21 @@ class InferenceServer : public InferenceService {
   /// Resolves a model reference (lane id or unambiguous bare name) to a
   /// lane id; throws RuntimeApiError for unknown/ambiguous references.
   std::string resolve_model_locked(const std::string& ref) const;
-  /// The sole served model id; throws RuntimeApiError when ambiguous.
+  /// The id of the only lane; throws RuntimeApiError unless exactly one
+  /// lane is open.
   std::string default_model_locked() const;
+  /// Worker slot `index`; throws RuntimeApiError when out of range.
+  Worker& worker_at_locked(std::size_t index) const;
   /// True when a worker serves `model` or is activating towards it.
   bool lane_served_locked(const std::string& model) const;
-  std::future<std::vector<double>> submit_locked(
-      std::unique_lock<std::mutex>& lock, const std::string& model,
-      std::vector<std::uint8_t> samples);
-  std::optional<std::future<std::vector<double>>> try_submit_locked(
-      std::unique_lock<std::mutex>& lock, const std::string& model,
-      std::vector<std::uint8_t> samples,
-      const telemetry::TraceContext& trace = {});
-  /// `sparse_samples` > 0 marks `samples` as a CSR stream covering that
-  /// many samples (0 = dense rows).
-  std::future<std::vector<double>> enqueue_locked(
-      std::unique_lock<std::mutex>& lock, const std::string& model,
-      std::vector<std::uint8_t> samples,
-      const telemetry::TraceContext& trace = {},
-      std::size_t sparse_samples = 0);
+  /// The one submit path. `model_ref` null addresses the sole model.
+  /// `sparse_samples` set marks `payload` as a CSR stream covering that
+  /// many samples (unset = dense rows). `block` waits for queue space;
+  /// otherwise a full queue returns std::nullopt.
+  std::optional<std::future<std::vector<double>>> enqueue(
+      const std::string* model_ref, std::vector<std::uint8_t> payload,
+      std::optional<std::size_t> sparse_samples,
+      const telemetry::TraceContext& trace, bool block);
   /// Throws NoHealthyEngineError if a started server cannot serve new work
   /// for `model`; RuntimeApiError when no engine hosts it at all.
   void require_admissible_locked(const std::string& model) const;

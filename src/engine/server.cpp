@@ -220,11 +220,7 @@ void InferenceServer::spawn_worker_locked(Worker& worker) {
 std::shared_ptr<InferenceEngine> InferenceServer::retire_engine(
     std::size_t index) {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (index >= workers_.size()) {
-    throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
-                                    index, workers_.size()));
-  }
-  Worker& worker = *workers_[index];
+  Worker& worker = worker_at_locked(index);
   if (worker.retiring || worker.retired) {
     throw RuntimeApiError("engine " + std::to_string(index) +
                           " is already retired");
@@ -257,20 +253,21 @@ std::shared_ptr<InferenceEngine> InferenceServer::retire_engine(
 
 bool InferenceServer::engine_retired(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index >= workers_.size()) {
-    throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
-                                    index, workers_.size()));
-  }
-  return workers_[index]->retired;
+  return worker_at_locked(index).retired;
 }
 
 std::string InferenceServer::engine_device(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  return worker_at_locked(index).device;
+}
+
+InferenceServer::Worker& InferenceServer::worker_at_locked(
+    std::size_t index) const {
   if (index >= workers_.size()) {
     throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
                                     index, workers_.size()));
   }
-  return workers_[index]->device;
+  return *workers_[index];
 }
 
 void InferenceServer::start() {
@@ -340,23 +337,12 @@ std::string InferenceServer::resolve_model_locked(
 }
 
 std::string InferenceServer::default_model_locked() const {
-  std::string sole;
-  for (const auto& worker : workers_) {
-    if (!worker_active(*worker)) continue;
-    const std::string& id = worker->model_id;
-    if (sole.empty()) {
-      sole = id;
-    } else if (id != sole) {
-      throw RuntimeApiError(
-          "server hosts multiple models; submit with an explicit model");
-    }
-    if (worker->pending_activation &&
-        lane_id_of(worker->pending_activation) != sole) {
-      throw RuntimeApiError(
-          "server hosts multiple models; submit with an explicit model");
-    }
+  if (lanes_.size() != 1) {
+    throw RuntimeApiError(
+        "server does not host exactly one model; submit with an explicit "
+        "model");
   }
-  return sole;
+  return lanes_.begin()->first;
 }
 
 bool InferenceServer::lane_served_locked(const std::string& model) const {
@@ -371,40 +357,6 @@ bool InferenceServer::lane_served_locked(const std::string& model) const {
     if (worker->model_id == model) return true;
   }
   return false;
-}
-
-std::future<std::vector<double>> InferenceServer::enqueue_locked(
-    std::unique_lock<std::mutex>& lock, const std::string& model,
-    std::vector<std::uint8_t> samples, const telemetry::TraceContext& trace,
-    std::size_t sparse_samples) {
-  (void)lock;
-  ModelLane& lane = lanes_.at(model);
-  auto request = std::make_shared<PendingRequest>();
-  request->model = model;
-  request->trace = trace;
-  request->sparse = sparse_samples > 0;
-  request->count = request->sparse ? sparse_samples
-                                   : samples.size() / lane.input_features;
-  request->remaining = request->count;
-  request->samples = std::move(samples);
-  request->results.resize(request->count);
-  request->enqueue_time = std::chrono::steady_clock::now();
-  if (config_.request_timeout.count() > 0) {
-    request->deadline = request->enqueue_time + config_.request_timeout;
-    live_requests_.push_back(request);
-  }
-  auto future = request->promise.get_future();
-  lane.queued_samples += request->count;
-  outstanding_samples_ += request->count;
-  stats_.requests += 1;
-  stats_.per_model[model].requests += 1;
-  ctr_requests_->add(1);
-  lane.ctr_requests->add(1);
-  stats_.peak_outstanding_samples =
-      std::max(stats_.peak_outstanding_samples, outstanding_samples_);
-  lane.queue.push_back(std::move(request));
-  cv_dispatch_.notify_one();
-  return future;
 }
 
 void InferenceServer::require_admissible_locked(
@@ -436,109 +388,110 @@ void InferenceServer::require_admissible_locked(
       "' quarantined; back off until a probe readmits one");
 }
 
-std::future<std::vector<double>> InferenceServer::submit_locked(
-    std::unique_lock<std::mutex>& lock, const std::string& model,
-    std::vector<std::uint8_t> samples) {
-  const std::size_t features = lanes_.at(model).input_features;
-  SPNHBM_REQUIRE(!samples.empty() && samples.size() % features == 0,
-                 "input is not a whole number of samples");
-  const std::size_t count = samples.size() / features;
-  SPNHBM_REQUIRE(count <= config_.max_queue_samples,
-                 "request larger than the whole queue bound");
-  require_admissible_locked(model);
-  cv_space_.wait(lock, [&] {
-    return stopped_ ||
-           outstanding_samples_ + count <= config_.max_queue_samples;
-  });
+std::optional<std::future<std::vector<double>>> InferenceServer::enqueue(
+    const std::string* model_ref, std::vector<std::uint8_t> payload,
+    std::optional<std::size_t> sparse_samples,
+    const telemetry::TraceContext& trace, bool block) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (workers_.empty()) {
+    throw RuntimeApiError("submit before any engine is registered");
+  }
   if (stopping_ || stopped_) {
     throw RuntimeApiError("submit on a stopped server");
   }
-  // The lane can vanish while we wait for space (last engine swapped away).
-  if (lanes_.find(model) == lanes_.end()) {
-    throw RuntimeApiError("model '" + model + "' is no longer served");
+  const std::string model = model_ref != nullptr
+                                ? resolve_model_locked(*model_ref)
+                                : default_model_locked();
+  ModelLane* lane = &lanes_.at(model);
+  std::size_t count = 0;
+  if (sparse_samples.has_value()) {
+    count = *sparse_samples;
+    SPNHBM_REQUIRE(count > 0, "sparse submit needs at least one sample");
+    // Front-door validation: a malformed stream fails on the caller's
+    // thread, never inside an engine where it would read as an engine
+    // fault and feed the health state machine.
+    compiler::decode_sparse(payload, lane->input_features, count);
+  } else {
+    SPNHBM_REQUIRE(
+        !payload.empty() && payload.size() % lane->input_features == 0,
+        "input is not a whole number of samples");
+    count = payload.size() / lane->input_features;
   }
-  return enqueue_locked(lock, model, std::move(samples));
-}
-
-std::optional<std::future<std::vector<double>>>
-InferenceServer::try_submit_locked(std::unique_lock<std::mutex>& lock,
-                                   const std::string& model,
-                                   std::vector<std::uint8_t> samples,
-                                   const telemetry::TraceContext& trace) {
-  const std::size_t features = lanes_.at(model).input_features;
-  SPNHBM_REQUIRE(!samples.empty() && samples.size() % features == 0,
-                 "input is not a whole number of samples");
-  const std::size_t count = samples.size() / features;
-  require_admissible_locked(model);
-  if (outstanding_samples_ + count > config_.max_queue_samples) {
+  if (count > config_.max_queue_samples) {
     stats_.rejected += 1;
     ctr_rejected_->add(1);
-    return std::nullopt;
+    throw RequestTooLargeError(
+        strformat("%zu samples exceed the queue bound of %zu", count,
+                  config_.max_queue_samples));
   }
-  return enqueue_locked(lock, model, std::move(samples), trace);
+  require_admissible_locked(model);
+  if (outstanding_samples_ + count > config_.max_queue_samples) {
+    if (!block) {
+      stats_.rejected += 1;
+      ctr_rejected_->add(1);
+      return std::nullopt;
+    }
+    cv_space_.wait(lock, [&] {
+      return stopped_ ||
+             outstanding_samples_ + count <= config_.max_queue_samples;
+    });
+    if (stopping_ || stopped_) {
+      throw RuntimeApiError("submit on a stopped server");
+    }
+    // The lane can vanish while we wait for space (last engine swapped
+    // away).
+    const auto it = lanes_.find(model);
+    if (it == lanes_.end()) {
+      throw RuntimeApiError("model '" + model + "' is no longer served");
+    }
+    lane = &it->second;
+  }
+  auto request = std::make_shared<PendingRequest>();
+  request->model = model;
+  request->trace = trace;
+  request->sparse = sparse_samples.has_value();
+  request->count = count;
+  request->remaining = count;
+  request->samples = std::move(payload);
+  request->results.resize(count);
+  request->enqueue_time = std::chrono::steady_clock::now();
+  if (config_.request_timeout.count() > 0) {
+    request->deadline = request->enqueue_time + config_.request_timeout;
+    live_requests_.push_back(request);
+  }
+  auto future = request->promise.get_future();
+  lane->queued_samples += count;
+  outstanding_samples_ += count;
+  stats_.requests += 1;
+  stats_.per_model[model].requests += 1;
+  ctr_requests_->add(1);
+  lane->ctr_requests->add(1);
+  stats_.peak_outstanding_samples =
+      std::max(stats_.peak_outstanding_samples, outstanding_samples_);
+  lane->queue.push_back(std::move(request));
+  cv_dispatch_.notify_one();
+  return future;
 }
 
 std::future<std::vector<double>> InferenceServer::submit(
     std::vector<std::uint8_t> samples) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (workers_.empty()) {
-    throw RuntimeApiError("submit before any engine is registered");
-  }
-  if (stopping_ || stopped_) {
-    throw RuntimeApiError("submit on a stopped server");
-  }
-  return submit_locked(lock, default_model_locked(), std::move(samples));
+  return *enqueue(nullptr, std::move(samples), std::nullopt, {}, true);
 }
 
 std::future<std::vector<double>> InferenceServer::submit(
     const std::string& model, std::vector<std::uint8_t> samples) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (workers_.empty()) {
-    throw RuntimeApiError("submit before any engine is registered");
-  }
-  if (stopping_ || stopped_) {
-    throw RuntimeApiError("submit on a stopped server");
-  }
-  return submit_locked(lock, resolve_model_locked(model), std::move(samples));
-}
-
-std::optional<std::future<std::vector<double>>> InferenceServer::try_submit(
-    std::vector<std::uint8_t> samples) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (workers_.empty()) {
-    throw RuntimeApiError("submit before any engine is registered");
-  }
-  if (stopping_ || stopped_) {
-    throw RuntimeApiError("submit on a stopped server");
-  }
-  return try_submit_locked(lock, default_model_locked(), std::move(samples));
+  return *enqueue(&model, std::move(samples), std::nullopt, {}, true);
 }
 
 std::optional<std::future<std::vector<double>>> InferenceServer::try_submit(
     const std::string& model, std::vector<std::uint8_t> samples) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (workers_.empty()) {
-    throw RuntimeApiError("submit before any engine is registered");
-  }
-  if (stopping_ || stopped_) {
-    throw RuntimeApiError("submit on a stopped server");
-  }
-  return try_submit_locked(lock, resolve_model_locked(model),
-                           std::move(samples));
+  return enqueue(&model, std::move(samples), std::nullopt, {}, false);
 }
 
 std::optional<std::future<std::vector<double>>> InferenceServer::try_submit(
     const std::string& model, std::vector<std::uint8_t> samples,
     const telemetry::TraceContext& trace) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (workers_.empty()) {
-    throw RuntimeApiError("submit before any engine is registered");
-  }
-  if (stopping_ || stopped_) {
-    throw RuntimeApiError("submit on a stopped server");
-  }
-  return try_submit_locked(lock, resolve_model_locked(model),
-                           std::move(samples), trace);
+  return enqueue(&model, std::move(samples), std::nullopt, trace, false);
 }
 
 std::optional<std::future<std::vector<double>>>
@@ -546,29 +499,7 @@ InferenceServer::try_submit_sparse(const std::string& model,
                                    std::vector<std::uint8_t> stream,
                                    std::size_t sample_count,
                                    const telemetry::TraceContext& trace) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (workers_.empty()) {
-    throw RuntimeApiError("submit before any engine is registered");
-  }
-  if (stopping_ || stopped_) {
-    throw RuntimeApiError("submit on a stopped server");
-  }
-  const std::string lane_id = resolve_model_locked(model);
-  const ModelLane& lane = lanes_.at(lane_id);
-  SPNHBM_REQUIRE(sample_count > 0, "sparse submit needs at least one sample");
-  // Front-door validation: a malformed stream fails on the caller's
-  // thread, never inside an engine where it would read as an engine fault
-  // and feed the health state machine.
-  compiler::decode_sparse(stream, lane.input_features, sample_count);
-  SPNHBM_REQUIRE(sample_count <= config_.max_queue_samples,
-                 "request larger than the whole queue bound");
-  require_admissible_locked(lane_id);
-  if (outstanding_samples_ + sample_count > config_.max_queue_samples) {
-    stats_.rejected += 1;
-    ctr_rejected_->add(1);
-    return std::nullopt;
-  }
-  return enqueue_locked(lock, lane_id, std::move(stream), trace, sample_count);
+  return enqueue(&model, std::move(stream), sample_count, trace, false);
 }
 
 std::string InferenceServer::health_text() const {
@@ -598,17 +529,13 @@ std::string InferenceServer::health_text() const {
 std::future<void> InferenceServer::activate(std::size_t index,
                                             ModelHandle next) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index >= workers_.size()) {
-    throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
-                                    index, workers_.size()));
-  }
+  Worker& worker = worker_at_locked(index);
   if (next == nullptr) {
     throw RuntimeApiError("activate requires a model");
   }
   if (!started_ || stopping_ || stopped_) {
     throw RuntimeApiError("activate on a server that is not running");
   }
-  Worker& worker = *workers_[index];
   if (!worker_active(worker)) {
     throw RuntimeApiError("engine " + std::to_string(index) + " is retired");
   }
@@ -643,16 +570,6 @@ std::size_t InferenceServer::outstanding_samples() const {
   return outstanding_samples_;
 }
 
-std::size_t InferenceServer::input_features() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (lanes_.empty()) return 0;
-  if (lanes_.size() > 1) {
-    throw RuntimeApiError(
-        "multiple models served; use input_features(model)");
-  }
-  return lanes_.begin()->second.input_features;
-}
-
 std::size_t InferenceServer::input_features(const std::string& model) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return lanes_.at(resolve_model_locked(model)).input_features;
@@ -679,41 +596,26 @@ std::size_t InferenceServer::batch_samples(const std::string& model) const {
 
 const InferenceEngine& InferenceServer::engine(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index >= workers_.size()) {
-    throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
-                                    index, workers_.size()));
-  }
-  if (workers_[index]->retired) {
+  const Worker& worker = worker_at_locked(index);
+  if (worker.retired) {
     throw RuntimeApiError("engine " + std::to_string(index) + " is retired");
   }
-  return *workers_[index]->engine;
+  return *worker.engine;
 }
 
 std::uint64_t InferenceServer::dispatched_samples(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index >= workers_.size()) {
-    throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
-                                    index, workers_.size()));
-  }
-  return workers_[index]->dispatched_samples;
+  return worker_at_locked(index).dispatched_samples;
 }
 
 EngineHealth InferenceServer::engine_health(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index >= workers_.size()) {
-    throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
-                                    index, workers_.size()));
-  }
-  return workers_[index]->health;
+  return worker_at_locked(index).health;
 }
 
 std::string InferenceServer::engine_model(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index >= workers_.size()) {
-    throw RuntimeApiError(strformat("engine index %zu out of range (%zu)",
-                                    index, workers_.size()));
-  }
-  const Worker& worker = *workers_[index];
+  const Worker& worker = worker_at_locked(index);
   return worker.pending_activation ? lane_id_of(worker.pending_activation)
                                    : worker.model_id;
 }
@@ -727,10 +629,10 @@ InferenceServer::Batch InferenceServer::form_batch_locked(
                         lane.input_features);
   while (batch.sample_count < batch_target && !lane.queue.empty()) {
     auto& request = lane.queue.front();
-    // A sparse request rides alone: its CSR stream cannot be sliced at
-    // sample granularity (or concatenated with dense rows) without
-    // re-encoding. Close the dense batch formed so far; the sparse one
-    // follows on the next loop turn.
+    // A sparse request rides alone (current policy; its CSR stream is
+    // self-delimiting per sample, but never mixes with dense rows). Close
+    // the dense batch formed so far; the sparse one follows on the next
+    // loop turn.
     if (request->sparse && batch.sample_count > 0) break;
     if (request->cursor == 0) {
       // First slice of this request leaves the queue: its queue wait ends.

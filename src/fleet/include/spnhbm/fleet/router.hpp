@@ -105,7 +105,10 @@ struct RebalanceReport {
 struct FleetStats {
   std::uint64_t routed_requests = 0;    ///< try_submit calls that resolved
   std::uint64_t accepted_requests = 0;  ///< landed on some member
-  std::uint64_t rejected_requests = 0;  ///< every replica's queue was full
+  /// Every replica's queue was full, or the request was refused as such
+  /// (RequestTooLargeError, a malformed stream), which no member is
+  /// penalised for.
+  std::uint64_t rejected_requests = 0;
   std::uint64_t accepted_samples = 0;
   /// First-pass skips of unhealthy replicas (quarantined engine or
   /// suspect member); not part of the conservation identity — a skipped

@@ -318,6 +318,13 @@ std::optional<std::future<std::vector<double>>> FleetRouter::route_locked(
       future = submit(*member.server);
     } catch (const engine::NoHealthyEngineError&) {
       unhealthy += 1;
+    } catch (...) {
+      // The request itself is at fault (larger than the queue bound,
+      // malformed) or the service is stopping: every replica would refuse
+      // it alike, so book one rejection, penalise no member and rethrow.
+      stats_.rejected_requests += 1;
+      telemetry::metrics().counter("fleet.rejected")->add();
+      throw;
     }
     if (future.has_value()) {
       member.consecutive_rejects = 0;

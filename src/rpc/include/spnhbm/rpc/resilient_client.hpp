@@ -182,6 +182,12 @@ class ResilientClient {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// Final-outcome callback of one logical request; also carries the
+  /// number of attempts made (infer() reports it in RpcGiveUpError).
+  using FinalCallback =
+      std::function<void(Status, const std::vector<double>&,
+                         const std::string&, GiveUpReason, std::uint32_t)>;
+
   /// One logical request, alive until its final outcome is delivered.
   struct Request {
     std::string model;
@@ -191,11 +197,16 @@ class ResilientClient {
     std::uint64_t key = 0;
     std::uint32_t attempts = 0;
     Clock::time_point first_sent;
-    ResilientCallback callback;
+    FinalCallback callback;
     Status last_status = Status::kInternalError;
     std::string last_error;
   };
   using RequestPtr = std::shared_ptr<Request>;
+
+  /// submit_with_callback with the attempt count passed to the callback.
+  void start(const std::string& model, std::vector<std::uint8_t> samples,
+             std::uint64_t deadline_us, FinalCallback callback,
+             const QueryOptions& query);
 
   /// Pure function of (seed, key, attempt): the deterministic schedule.
   double backoff_us(std::uint64_t key, std::uint32_t attempt, double base,

@@ -171,6 +171,19 @@ void ResilientClient::submit_with_callback(const std::string& model,
                                            std::uint64_t deadline_us,
                                            ResilientCallback callback,
                                            const QueryOptions& query) {
+  start(model, std::move(samples), deadline_us,
+        [callback = std::move(callback)](
+            Status status, const std::vector<double>& results,
+            const std::string& error, GiveUpReason reason, std::uint32_t) {
+          callback(status, results, error, reason);
+        },
+        query);
+}
+
+void ResilientClient::start(const std::string& model,
+                            std::vector<std::uint8_t> samples,
+                            std::uint64_t deadline_us, FinalCallback callback,
+                            const QueryOptions& query) {
   auto request = std::make_shared<Request>();
   request->model = model;
   request->samples = std::move(samples);
@@ -206,10 +219,11 @@ std::vector<double> ResilientClient::infer(const std::string& model,
                                            const QueryOptions& query) {
   auto promise = std::make_shared<std::promise<std::vector<double>>>();
   std::future<std::vector<double>> future = promise->get_future();
-  submit_with_callback(
+  start(
       model, std::move(samples), deadline_us,
       [promise](Status status, const std::vector<double>& results,
-                const std::string& error, GiveUpReason reason) {
+                const std::string& error, GiveUpReason reason,
+                std::uint32_t attempts) {
         if (status == Status::kOk) {
           promise->set_value(results);
         } else {
@@ -217,7 +231,7 @@ std::vector<double> ResilientClient::infer(const std::string& model,
             reason = GiveUpReason::kNonRetryable;
           }
           promise->set_exception(std::make_exception_ptr(
-              RpcGiveUpError(reason, status, 0, error)));
+              RpcGiveUpError(reason, status, attempts, error)));
         }
       },
       query);
@@ -387,7 +401,7 @@ void ResilientClient::finish(const RequestPtr& request, Status status,
                        << " after " << request->attempts
                        << " attempt(s)): " << error;
   }
-  request->callback(status, results, error, reason);
+  request->callback(status, results, error, reason, request->attempts);
 }
 
 void ResilientClient::retry_loop() {

@@ -412,7 +412,8 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
   // 4. Submit (non-blocking; a full server queue is queue-depth shedding).
   //    Sparse streams route through try_submit_sparse, whose front-door
   //    decoder throws ParseError on a malformed payload — an invalid
-  //    request, not an engine fault.
+  //    request, not an engine fault. A request larger than the whole
+  //    queue bound can never be admitted, so it is invalid, not shed.
   try {
     outgoing.sample_count =
         sparse ? request.sample_count : request.samples.size() / features;
@@ -428,6 +429,10 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
     }
     outgoing.future = std::move(future);
   } catch (const ParseError& e) {
+    reject(Status::kInvalidRequest, e.what(), &RpcServerStats::rejected,
+           ctr_rejected_);
+    return outgoing;
+  } catch (const engine::RequestTooLargeError& e) {
     reject(Status::kInvalidRequest, e.what(), &RpcServerStats::rejected,
            ctr_rejected_);
     return outgoing;

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
-#include "spnhbm/arith/error_analysis.hpp"
 #include "spnhbm/util/rng.hpp"
 
 namespace spnhbm::arith {
@@ -80,46 +78,6 @@ TEST(Backend, LatenciesArePositiveAndFormatShaped) {
   // LNS: multiplication is a plain fixed-point add, the cheapest operator.
   EXPECT_EQ(lns->mul_latency_cycles(), 1);
   EXPECT_GT(lns->add_latency_cycles(), lns->mul_latency_cycles());
-}
-
-TEST(ErrorAnalysis, RelativeError) {
-  EXPECT_NEAR(relative_error(1.1, 1.0), 0.1, 1e-12);
-  EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(relative_error(0.5, 0.0), 0.5);
-}
-
-TEST(ErrorAnalysis, RoundtripReportOrdersFormatsByPrecision) {
-  Rng rng(17);
-  std::vector<double> values;
-  for (int i = 0; i < 2000; ++i) values.push_back(std::exp(rng.next_uniform(-30.0, 0.0)));
-
-  const auto f64 = roundtrip_error(*make_float64_backend(), values);
-  const auto cfp = roundtrip_error(*make_cfp_backend(paper_cfp_format()), values);
-
-  CfpFormat narrow;
-  narrow.exponent_bits = 8;
-  narrow.mantissa_bits = 10;
-  const auto cfp_narrow = roundtrip_error(*make_cfp_backend(narrow), values);
-
-  EXPECT_EQ(f64.max_relative, 0.0);
-  EXPECT_GT(cfp.max_relative, 0.0);
-  EXPECT_GT(cfp_narrow.max_relative, cfp.max_relative);
-  EXPECT_EQ(cfp.samples, values.size());
-}
-
-TEST(ErrorAnalysis, AccumulationErrorStaysSmallForPaperFormats) {
-  Rng rng(19);
-  std::vector<std::vector<double>> chains;
-  for (int c = 0; c < 64; ++c) {
-    std::vector<double> chain;
-    for (int i = 0; i < 10; ++i) chain.push_back(rng.next_uniform(0.1, 1.0));
-    chains.push_back(std::move(chain));
-  }
-  for (const auto& backend : all_backends()) {
-    const auto report = accumulation_error(*backend, chains);
-    EXPECT_LT(report.max_relative, 1e-3) << backend->describe();
-    EXPECT_EQ(report.samples, chains.size());
-  }
 }
 
 TEST(Backend, PaperFormatsMatchPublishedConfigs) {

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
-#include "spnhbm/baselines/cpu_engine.hpp"
 #include "spnhbm/baselines/reference_platforms.hpp"
+#include "spnhbm/engine/cpu_engine.hpp"
 #include "spnhbm/spn/evaluate.hpp"
 #include "spnhbm/util/rng.hpp"
 #include "spnhbm/util/stats.hpp"
@@ -12,18 +13,22 @@
 namespace spnhbm::baselines {
 namespace {
 
+model::ModelHandle nips10_f64() {
+  return model::ModelArtifact::compile("nips10", "1",
+                                       workload::make_nips_model(10).spn,
+                                       arith::make_float64_backend());
+}
+
 TEST(CpuEngine, MatchesReferenceEvaluator) {
   const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 2);
+  engine::CpuEngine engine(nips10_f64(), {.threads = 2});
 
   Rng rng(3);
   const std::size_t count = 1000;
   std::vector<std::uint8_t> samples(count * 10);
   for (auto& b : samples) b = static_cast<std::uint8_t>(rng.next_below(256));
   std::vector<double> results(count);
-  engine.infer(samples, results);
+  engine.wait(engine.submit(samples, results));
 
   spn::Evaluator reference(model.spn);
   for (std::size_t i = 0; i < count; ++i) {
@@ -34,41 +39,29 @@ TEST(CpuEngine, MatchesReferenceEvaluator) {
 }
 
 TEST(CpuEngine, HandlesNonLaneAlignedBatches) {
-  const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
+  engine::CpuEngine engine(nips10_f64(), {.threads = 1});
   for (const std::size_t count : {1u, 7u, 8u, 9u, 63u}) {
     std::vector<std::uint8_t> samples(count * 10, 5);
     std::vector<double> results(count, -1.0);
-    engine.infer(samples, results);
+    engine.wait(engine.submit(samples, results));
     for (const double r : results) EXPECT_GT(r, 0.0);
   }
 }
 
 TEST(CpuEngine, EmptyBatchIsNoop) {
-  const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
-  EXPECT_NO_THROW(engine.infer({}, {}));
+  engine::CpuEngine engine(nips10_f64(), {.threads = 1});
+  EXPECT_NO_THROW(engine.wait(engine.submit({}, {})));
 }
 
 TEST(CpuEngine, RejectsMismatchedSizes) {
-  const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
+  engine::CpuEngine engine(nips10_f64(), {.threads = 1});
   std::vector<std::uint8_t> samples(15);  // not a multiple of 10
   std::vector<double> results(2);
-  EXPECT_THROW(engine.infer(samples, results), std::logic_error);
+  EXPECT_THROW(engine.submit(samples, results), std::logic_error);
 }
 
 TEST(CpuEngine, ThroughputIsMeasurable) {
-  const auto model = workload::make_nips_model(10);
-  const auto backend = arith::make_float64_backend();
-  const auto module = compiler::compile_spn(model.spn, *backend);
-  CpuInferenceEngine engine(module, 1);
+  engine::CpuEngine engine(nips10_f64(), {.threads = 1});
   const double rate = engine.measure_throughput(50'000);
   EXPECT_GT(rate, 1e5);  // sanity: >100 Ksamples/s even on a weak host
 }

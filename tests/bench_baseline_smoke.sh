@@ -1,38 +1,33 @@
 #!/usr/bin/env bash
-# Perf-trajectory smoke: the fig2/fig6/sparse-vs-dense report generators
-# must reproduce the committed bench/baselines/ records on this machine
-# (the simulated numbers are deterministic), and bench_compare must
-# actually catch a planted regression in --strict mode.
+# Perf-trajectory smoke, one check per invocation so ctest can run them in
+# parallel:
+#   * <bench> [compare-args...]: a fresh run of that report generator must
+#     reproduce its committed bench/baselines/ record on this machine (the
+#     simulated numbers are deterministic, so --strict is safe);
+#   * planted: bench_compare must actually catch a planted regression in
+#     --strict mode.
 #
 # Usage: bench_baseline_smoke.sh <bench-dir> <bench-compare> \
-#                                <baselines-dir> <work-dir>
+#                                <baselines-dir> <work-dir> \
+#                                <bench|planted> [compare-args...]
 set -euo pipefail
 
 BENCH_DIR=$1
 COMPARE=$2
 BASELINES=$3
 WORK=$4
+CHECK=$5
+shift 5
 
 mkdir -p "$WORK"
 
-SPNHBM_BENCH_JSON_DIR=$WORK "$BENCH_DIR/fig2_hbm_channel" > /dev/null
-SPNHBM_BENCH_JSON_DIR=$WORK "$BENCH_DIR/fig6_end_to_end" > /dev/null
-SPNHBM_BENCH_JSON_DIR=$WORK "$BENCH_DIR/sparse_vs_dense" > /dev/null
-SPNHBM_BENCH_JSON_DIR=$WORK "$BENCH_DIR/tuned_vs_default" > /dev/null
-
-# Fresh runs vs committed baselines: strict is safe here because every
-# compared field is simulated (the host-dependent CPU reference in fig6
-# is ignored).
-"$COMPARE" "$BASELINES/BENCH_fig2_hbm_channel.json" \
-  "$WORK/BENCH_fig2_hbm_channel.json" --strict
-"$COMPARE" "$BASELINES/BENCH_fig6_end_to_end.json" \
-  "$WORK/BENCH_fig6_end_to_end.json" --strict \
-  --ignore native_cpu_samples_per_s
-"$COMPARE" "$BASELINES/BENCH_sparse_vs_dense.json" \
-  "$WORK/BENCH_sparse_vs_dense.json" --strict
-"$COMPARE" "$BASELINES/BENCH_tuned_vs_default.json" \
-  "$WORK/BENCH_tuned_vs_default.json" --strict
-echo "fresh runs reproduce the committed baselines"
+if [ "$CHECK" != planted ]; then
+  SPNHBM_BENCH_JSON_DIR=$WORK "$BENCH_DIR/$CHECK" > /dev/null
+  "$COMPARE" "$BASELINES/BENCH_$CHECK.json" "$WORK/BENCH_$CHECK.json" \
+    --strict "$@"
+  echo "fresh $CHECK run reproduces the committed baseline"
+  exit 0
+fi
 
 # A planted 50% throughput drop must warn by default and fail --strict.
 cat > "$WORK/planted.json" <<'EOF'
@@ -49,4 +44,3 @@ if "$COMPARE" "$WORK/planted.json" "$WORK/planted_regressed.json" \
   echo "bench_compare --strict missed a planted regression"; exit 1
 fi
 echo "bench_compare catches planted regressions"
-echo "bench baseline smoke: OK"

@@ -93,7 +93,9 @@ TEST(MultiModelServer, ServesThreeModelsWithDistinctWidthsConcurrently) {
             (std::vector<std::string>{"NIPS10@1", "NIPS20@1", "rand8@1"}));
   EXPECT_EQ(server.input_features("NIPS10@1"), 10u);
   EXPECT_EQ(server.input_features("rand8"), 8u);  // bare name
-  EXPECT_THROW(server.input_features(), RuntimeApiError);  // >1 model
+  // The sole-model submit cannot pick among several models.
+  EXPECT_THROW(server.submit(std::vector<std::uint8_t>(10, 0)),
+               RuntimeApiError);
   EXPECT_THROW(server.input_features("nope"), RuntimeApiError);
   server.start();
 

@@ -100,7 +100,7 @@ TEST(Server, BackpressureBlocksAndTrySubmitRejectsAtTheBound) {
     std::this_thread::yield();
   }
 
-  EXPECT_FALSE(server.try_submit(make_request(1, 50)).has_value());
+  EXPECT_FALSE(server.try_submit("mock@1", make_request(1, 50)).has_value());
   EXPECT_EQ(server.stats().rejected, 1u);
   EXPECT_EQ(server.outstanding_samples(), 8u);
 
@@ -210,8 +210,14 @@ TEST(Server, SubmitValidatesRequests) {
   // Not a whole number of rows.
   EXPECT_THROW(server.submit(std::vector<std::uint8_t>(kFeatures + 1, 0)),
                std::logic_error);
-  // A single request larger than the whole queue bound can never fit.
-  EXPECT_THROW(server.submit(make_request(17, 0)), std::logic_error);
+  // A single request larger than the whole queue bound can never fit,
+  // whichever entry point it arrives by.
+  EXPECT_THROW(server.submit(make_request(17, 0)),
+               engine::RequestTooLargeError);
+  EXPECT_THROW(server.try_submit("mock@1", make_request(17, 0)),
+               engine::RequestTooLargeError);
+  EXPECT_EQ(server.stats().rejected, 2u);
+  EXPECT_EQ(server.stats().requests, 0u);
 
   server.start();
   server.stop();
@@ -270,7 +276,7 @@ TEST(Server, DefaultBatchSizeIsTheSmallestEnginePreference) {
   engine::InferenceServer server;  // batch_samples = 0 -> derive
   server.register_engine(std::make_shared<MockEngine>(large));
   server.register_engine(std::make_shared<MockEngine>(small));
-  EXPECT_EQ(server.batch_samples(), 32u);
+  EXPECT_EQ(server.batch_samples("mock@1"), 32u);
 }
 
 TEST(Server, PerEngineAccessorsRejectOutOfRangeIndices) {

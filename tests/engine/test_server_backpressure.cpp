@@ -55,11 +55,11 @@ TEST(ServerBackpressure, ConcurrentSubmittersLoseNothingAtTheBound) {
         if (r % 2 == 0) {
           // Non-blocking path: count rejections, then fall back to the
           // blocking submit so every request is eventually accepted.
-          auto attempt = server.try_submit(request);
+          auto attempt = server.try_submit("mock@1", request);
           while (!attempt.has_value()) {
             rejections.fetch_add(1, std::memory_order_relaxed);
             std::this_thread::yield();
-            attempt = server.try_submit(request);
+            attempt = server.try_submit("mock@1", request);
           }
           future = std::move(*attempt);
         } else {

@@ -143,7 +143,7 @@ TEST(ServerRecovery, QuarantineFailsFastThenProbeReadmits) {
   // new work must be rejected fail-fast instead of queueing forever.
   EXPECT_THROW(server.submit(make_request(1, 20)),
                engine::NoHealthyEngineError);
-  EXPECT_THROW(server.try_submit(make_request(1, 21)),
+  EXPECT_THROW(server.try_submit("mock@1", make_request(1, 21)),
                engine::NoHealthyEngineError);
 
   // Once the probe is due, a submitted request rides the probe batch; the
@@ -248,13 +248,13 @@ TEST(ServerRecovery, LifecycleMisuseThrowsRuntimeApiError) {
   // API misuse, distinct from request-validation logic errors.
   engine::InferenceServer server;
   EXPECT_THROW(server.submit(make_request(1, 0)), RuntimeApiError);
-  EXPECT_THROW(server.try_submit(make_request(1, 0)), RuntimeApiError);
+  EXPECT_THROW(server.try_submit("mock@1", make_request(1, 0)), RuntimeApiError);
 
   server.register_engine(std::make_shared<MockEngine>());
   server.start();
   server.stop();
   EXPECT_THROW(server.submit(make_request(1, 0)), RuntimeApiError);
-  EXPECT_THROW(server.try_submit(make_request(1, 0)), RuntimeApiError);
+  EXPECT_THROW(server.try_submit("mock@1", make_request(1, 0)), RuntimeApiError);
 }
 
 TEST(ServerRecovery, HealthNamesAreStable) {

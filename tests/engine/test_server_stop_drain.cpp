@@ -111,7 +111,7 @@ TEST(ServerStopDrain, SubmitAfterStopFailsWithTypedError) {
   server.start();
   server.stop();
   EXPECT_THROW(server.submit(make_request(1, 1)), RuntimeApiError);
-  EXPECT_THROW(server.try_submit(make_request(1, 2)), RuntimeApiError);
+  EXPECT_THROW(server.try_submit("mock@1", make_request(1, 2)), RuntimeApiError);
 }
 
 TEST(ServerStopDrain, StopUnderConcurrentSubmittersLeaksNothing) {

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/fpga/resource_model.hpp"
 #include "spnhbm/model/artifact.hpp"
 #include "spnhbm/util/rng.hpp"
@@ -153,6 +154,46 @@ TEST(FleetRouter, FailsOverToAnotherReplicaWhenAMemberQueueIsFull) {
   for (std::size_t r = 0; r < futures.size(); ++r) {
     expect_reference(nips10, requests[r], futures[r].get());
   }
+  router.stop();
+}
+
+TEST(FleetRouter, RequestsLargerThanTheQueueBoundAreRejectedOnce) {
+  // A request no member could ever queue is the request's fault: it is
+  // booked as one rejection (routed = accepted + rejected still holds),
+  // no member's reject streak grows, and the typed error reaches the
+  // caller on the dense and the sparse path alike.
+  auto nips10 = nips_artifact(10);
+  auto config = quick_fleet(2);
+  config.server.max_queue_samples = 4;
+  fleet::FleetRouter router(config);
+  router.deploy(nips10);
+  router.deploy(nips10);
+
+  Rng rng(37);
+  const auto rows = random_rows(rng, 5, 10);
+  const std::vector<std::uint8_t> defaults(10, 0);
+  const auto stream = compiler::encode_sparse(
+      compiler::sparse_from_dense(rows, 10, defaults));
+  EXPECT_THROW(router.try_submit("NIPS10@1", rows),
+               engine::RequestTooLargeError);
+  EXPECT_THROW(router.try_submit_sparse("NIPS10@1", stream, 5),
+               engine::RequestTooLargeError);
+  for (std::size_t m = 0; m < router.member_count(); ++m) {
+    EXPECT_EQ(router.member_consecutive_rejects(m), 0u) << "member " << m;
+  }
+
+  const std::vector<std::uint8_t> fitting(rows.begin(), rows.begin() + 40);
+  auto future = router.try_submit("NIPS10@1", fitting);
+  ASSERT_TRUE(future.has_value());
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.routed_requests, 3u);
+  EXPECT_EQ(stats.accepted_requests, 1u);
+  EXPECT_EQ(stats.rejected_requests, 2u);
+  EXPECT_EQ(stats.accepted_requests + stats.rejected_requests,
+            stats.routed_requests);
+
+  router.start();
+  expect_reference(nips10, fitting, future->get());
   router.stop();
 }
 

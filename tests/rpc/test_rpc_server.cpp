@@ -398,7 +398,7 @@ constexpr std::size_t kQueryVars = 6;
 /// A serving stack hosting the same SPN under all three query kinds, as
 /// three real CpuEngine lanes ("q@1", "q@1#marginal", "q@1#mpe").
 struct QueryHarness {
-  QueryHarness() {
+  explicit QueryHarness(std::size_t max_queue_samples = 1 << 16) {
     spn::RandomSpnConfig spn_config;
     spn_config.variables = kQueryVars;
     spn_config.leaf_domain = compiler::kMissingByte;
@@ -408,6 +408,7 @@ struct QueryHarness {
     engine::ServerConfig config;
     config.batch_samples = 8;
     config.max_latency = std::chrono::microseconds(200);
+    config.max_queue_samples = max_queue_samples;
     server = std::make_unique<engine::InferenceServer>(config);
     for (const auto query :
          {compiler::QueryKind::kJoint, compiler::QueryKind::kMarginal,
@@ -584,6 +585,85 @@ TEST(RpcServer, MalformedSparseStreamsRejectWithInvalidRequest) {
     EXPECT_EQ(harness.server->engine_health(i),
               engine::EngineHealth::kHealthy);
   }
+}
+
+TEST(RpcServer, RequestsLargerThanTheQueueBoundAreInvalid) {
+  // A request that can never fit the server's queue bound is refused as
+  // INVALID_REQUEST on the dense and the sparse path alike, not shed as
+  // retryable overload (dense) or as shutting down (sparse), so the
+  // resilient client gives up at once instead of retrying.
+  QueryHarness harness(/*max_queue_samples=*/2);
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::vector<double>> doubles;
+  harness.make_batch(3, 41, bytes, doubles);
+  const std::vector<std::uint8_t> defaults(kQueryVars,
+                                           compiler::kMissingByte);
+  const auto stream = compiler::encode_sparse(
+      compiler::sparse_from_dense(bytes, kQueryVars, defaults));
+  QueryOptions dense;
+  dense.query_kind = 1;
+  QueryOptions sparse = dense;
+  sparse.encoding = kEncodingSparse;
+  sparse.sample_count = 3;
+
+  ResilientClientConfig config;
+  config.port = harness.front->port();
+  config.max_attempts = 4;
+  ResilientClient client(config);
+  for (const QueryOptions& query : {dense, sparse}) {
+    try {
+      client.infer("q@1", query.encoding == kEncodingSparse ? stream : bytes,
+                   0, query);
+      FAIL() << "expected RpcGiveUpError";
+    } catch (const RpcGiveUpError& e) {
+      EXPECT_EQ(e.reason(), GiveUpReason::kNonRetryable);
+      EXPECT_EQ(e.last_status(), Status::kInvalidRequest);
+      EXPECT_EQ(e.attempts(), 1u);
+      EXPECT_NE(std::string(e.what()).find("request too large"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(client.retry_log().empty());
+  // Split to fit the bound, the same rows are served.
+  bytes.resize(2 * kQueryVars);
+  EXPECT_EQ(client.infer("q@1", bytes, 0, dense).size(), 2u);
+  client.close();
+
+  const RpcServerStats stats = harness.front->stats();
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.shed(), 0u);
+  EXPECT_TRUE(stats.conserved()) << stats.describe();
+}
+
+TEST(RpcServer, ResilientGiveUpReportsTheAttemptsMade) {
+  AdmissionConfig admission;
+  admission.rate_limit_rps = 0.001;  // one token, then dry for the test
+  admission.burst = 1.0;
+  Harness harness({}, admission);
+  const auto request = make_request(1, 3);
+  expect_encoded(request, harness.connect()->infer("mock@1", request));
+
+  ResilientClientConfig config;
+  config.port = harness.front->port();
+  config.max_attempts = 3;
+  config.backoff_base_us = 50.0;
+  config.backoff_cap_us = 100.0;
+  ResilientClient client(config);
+  try {
+    client.infer("mock@1", make_request(1, 4));
+    FAIL() << "expected RpcGiveUpError";
+  } catch (const RpcGiveUpError& e) {
+    EXPECT_EQ(e.reason(), GiveUpReason::kAttemptsExhausted);
+    EXPECT_EQ(e.last_status(), Status::kOverloaded);
+    EXPECT_EQ(e.attempts(), 3u);
+    EXPECT_NE(std::string(e.what()).find("after 3 attempt(s)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(client.retry_log().size(), 2u);
+  client.close();
+  EXPECT_EQ(harness.front->stats().shed_rate_limit, 3u);
 }
 
 /// Minimal peer speaking another protocol version: accepts connections

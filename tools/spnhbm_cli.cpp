@@ -188,8 +188,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -961,17 +963,14 @@ struct ModelSpec {
   }
 };
 
-int cmd_serve_multi(const Args& args,
-                    const std::vector<std::string>& model_specs) {
-  const TelemetryOutputs telemetry_outputs = TelemetryOutputs::from_args(args);
-  const bool chaos = arm_fault_plan(args);
+/// Loads one artifact per "--model" spec x query kind (spec order, then
+/// query order) and attaches each "--tuning name=manifest.json" to that
+/// model's matching query-kind variant before any engine composes
+/// against it.
+std::vector<engine::ModelHandle> load_model_specs(
+    const Args& args, const std::vector<std::string>& model_specs,
+    const std::vector<compiler::QueryKind>& queries) {
   const auto format = args.option("format", "cfp");
-  const auto queries = parse_queries(args);
-
-  // One artifact (and one server lane) per model x query kind; the
-  // registry holds the first-listed kind of each model — the variant
-  // local CSV replays address by name.
-  model::ModelRegistry registry;
   std::vector<engine::ModelHandle> loaded;
   std::map<std::string, std::vector<engine::ModelHandle>> variants_by_name;
   for (const auto& raw : model_specs) {
@@ -980,15 +979,12 @@ int cmd_serve_multi(const Args& args,
       const auto artifact = model::ModelArtifact::load_file(
           spec.name, spec.version, spec.path, backend_for(format),
           compile_options_for(query));
-      if (query == queries.front()) registry.add(artifact);
       loaded.push_back(artifact);
       variants_by_name[spec.name].push_back(artifact);
       std::fprintf(stderr, "loaded %s (%s)\n", artifact->describe().c_str(),
                    compiler::query_kind_name(query));
     }
   }
-  // "--tuning name=manifest.json": attach to that model's matching
-  // query-kind variant before any engine composes against it.
   for (const auto& raw : args.option_all("tuning")) {
     const auto eq = raw.find('=');
     if (eq == std::string::npos) {
@@ -1001,76 +997,96 @@ int cmd_serve_multi(const Args& args,
     attach_tuning_to_variants(load_tuning_file(raw.substr(eq + 1)),
                               it->second);
   }
+  return loaded;
+}
 
+/// Serves `artifacts` from one InferenceServer: registers their engines,
+/// then fronts the server over RPC (--listen) or runs `replay` against
+/// it, and prints the report.
+int serve_artifacts(const Args& args, const TelemetryOutputs& telemetry_outputs,
+                    const std::vector<engine::ModelHandle>& artifacts,
+                    bool chaos,
+                    const std::function<void(engine::InferenceServer&)>&
+                        replay) {
   engine::InferenceServer server(server_config_from_args(args));
-  for (const auto& artifact : loaded) {
+  for (const auto& artifact : artifacts) {
     register_engines_for(server, args, artifact, chaos);
   }
   server.start();
+  std::optional<rpc::RpcServerStats> rpc_stats;
+  if (args.option("listen", "").empty()) {
+    replay(server);
+  } else {
+    rpc_stats = run_rpc_front_end(server, args);
+  }
+  server.stop();
+  print_server_report(server, rpc_stats ? &*rpc_stats : nullptr);
+  if (chaos) print_fault_summary();
+  telemetry_outputs.write();
+  return 0;
+}
 
-  if (!args.option("listen", "").empty()) {
-    const rpc::RpcServerStats rpc_stats = run_rpc_front_end(server, args);
-    server.stop();
-    print_server_report(server, &rpc_stats);
-    if (chaos) print_fault_summary();
-    telemetry_outputs.write();
-    return 0;
+int cmd_serve_multi(const Args& args,
+                    const std::vector<std::string>& model_specs) {
+  const TelemetryOutputs telemetry_outputs = TelemetryOutputs::from_args(args);
+  const bool chaos = arm_fault_plan(args);
+  const auto queries = parse_queries(args);
+
+  // One artifact (and one server lane) per model x query kind; the
+  // registry holds the first-listed kind of each model — the variant
+  // local CSV replays address by name.
+  const auto loaded = load_model_specs(args, model_specs, queries);
+  model::ModelRegistry registry;
+  for (const auto& artifact : loaded) {
+    if (artifact->module().query() == queries.front()) registry.add(artifact);
   }
 
   // Replay each --requests name=path CSV against its model; rows become
   // independent single-sample requests, so batches of different models
   // interleave through the one server.
-  struct Replay {
-    std::string id;
-    std::size_t rows = 0;
-    std::vector<std::future<std::vector<double>>> futures;
-  };
-  std::vector<Replay> replays;
-  for (const auto& raw : args.option_all("requests")) {
-    const auto eq = raw.find('=');
-    if (eq == std::string::npos) {
-      throw Error("with --model, --requests expects name=path");
+  const auto replay = [&](engine::InferenceServer& server) {
+    struct Replay {
+      std::string id;
+      std::size_t rows = 0;
+      std::vector<std::future<std::vector<double>>> futures;
+    };
+    std::vector<Replay> replays;
+    for (const auto& raw : args.option_all("requests")) {
+      const auto eq = raw.find('=');
+      if (eq == std::string::npos) {
+        throw Error("with --model, --requests expects name=path");
+      }
+      const auto artifact = registry.get(raw.substr(0, eq));
+      const spn::DataMatrix data = spn::load_csv_file(raw.substr(eq + 1));
+      if (data.cols() != artifact->input_features()) {
+        throw Error(strformat(
+            "CSV rows have %zu cells, model %s expects %zu", data.cols(),
+            artifact->id().c_str(), artifact->input_features()));
+      }
+      Replay replay;
+      // Address the registry variant's own lane (suffixed for non-joint
+      // first-listed query kinds).
+      replay.id = engine::lane_id_for(artifact->id(), queries.front());
+      replay.rows = data.rows();
+      for (auto& row : rows_as_payloads(data)) {
+        replay.futures.push_back(server.submit(replay.id, std::move(row)));
+      }
+      replays.push_back(std::move(replay));
     }
-    const auto artifact = registry.get(raw.substr(0, eq));
-    const spn::DataMatrix data = spn::load_csv_file(raw.substr(eq + 1));
-    if (data.cols() != artifact->input_features()) {
-      throw Error(strformat(
-          "CSV rows have %zu cells, model %s expects %zu", data.cols(),
-          artifact->id().c_str(), artifact->input_features()));
-    }
-    const auto samples = data.to_bytes();
-    const std::size_t features = artifact->input_features();
-    Replay replay;
-    // Address the registry variant's own lane (suffixed for non-joint
-    // first-listed query kinds).
-    replay.id = engine::lane_id_for(artifact->id(), queries.front());
-    replay.rows = samples.size() / features;
-    for (std::size_t i = 0; i < replay.rows; ++i) {
-      std::vector<std::uint8_t> row(
-          samples.begin() + static_cast<std::ptrdiff_t>(i * features),
-          samples.begin() + static_cast<std::ptrdiff_t>((i + 1) * features));
-      replay.futures.push_back(server.submit(replay.id, std::move(row)));
-    }
-    replays.push_back(std::move(replay));
-  }
-  for (auto& replay : replays) {
-    std::printf("== model %s (%zu requests)\n", replay.id.c_str(),
-                replay.rows);
-    for (auto& future : replay.futures) {
-      try {
-        std::printf("%.12e\n", future.get().front());
-      } catch (const std::exception& e) {
-        if (!chaos) throw;
-        std::printf("error: %s\n", e.what());
+    for (auto& replay : replays) {
+      std::printf("== model %s (%zu requests)\n", replay.id.c_str(),
+                  replay.rows);
+      for (auto& future : replay.futures) {
+        try {
+          std::printf("%.12e\n", future.get().front());
+        } catch (const std::exception& e) {
+          if (!chaos) throw;
+          std::printf("error: %s\n", e.what());
+        }
       }
     }
-  }
-  server.stop();
-
-  print_server_report(server);
-  if (chaos) print_fault_summary();
-  telemetry_outputs.write();
-  return 0;
+  };
+  return serve_artifacts(args, telemetry_outputs, loaded, chaos, replay);
 }
 
 /// `serve --fleet-devices N`: N simulated cards behind one FleetRouter,
@@ -1084,7 +1100,6 @@ int cmd_serve_fleet(const Args& args,
   if (args.option("listen", "").empty()) {
     throw Error("--fleet-devices requires --listen (a fleet serves over RPC)");
   }
-  const auto format = args.option("format", "cfp");
   const int replicas =
       std::max(1, std::atoi(args.option("fleet-replicas", "1").c_str()));
   const std::string pe_slots_text = args.option("fleet-pe-slots", "");
@@ -1097,30 +1112,7 @@ int cmd_serve_fleet(const Args& args,
   config.default_pe_slots = pe_slots;
   fleet::FleetRouter router(config);
   const auto queries = parse_queries(args);
-  std::map<std::string, std::vector<engine::ModelHandle>> variants_by_name;
-  std::vector<engine::ModelHandle> deploy_order;
-  for (const auto& raw : model_specs) {
-    const ModelSpec spec = ModelSpec::parse(raw);
-    for (const auto query : queries) {
-      const auto artifact = model::ModelArtifact::load_file(
-          spec.name, spec.version, spec.path, backend_for(format),
-          compile_options_for(query));
-      variants_by_name[spec.name].push_back(artifact);
-      deploy_order.push_back(artifact);
-    }
-  }
-  for (const auto& raw : args.option_all("tuning")) {
-    const auto eq = raw.find('=');
-    if (eq == std::string::npos) {
-      throw Error("with --model, --tuning expects name=manifest.json");
-    }
-    const auto it = variants_by_name.find(raw.substr(0, eq));
-    if (it == variants_by_name.end()) {
-      throw Error("--tuning names unknown model '" + raw.substr(0, eq) + "'");
-    }
-    attach_tuning_to_variants(load_tuning_file(raw.substr(eq + 1)),
-                              it->second);
-  }
+  const auto deploy_order = load_model_specs(args, model_specs, queries);
   for (const auto& artifact : deploy_order) {
     for (int r = 0; r < replicas; ++r) {
       // An explicit --fleet-pe-slots wins; otherwise deploy() sizes the
@@ -1206,70 +1198,65 @@ int cmd_serve(const Args& args) {
 
   const long long timeout_us =
       std::atoll(args.option("request-timeout", "0").c_str());
-  engine::InferenceServer server(server_config_from_args(args));
-  for (const auto& variant : artifacts) {
-    register_engines_for(server, args, variant, chaos);
-  }
-  server.start();
-
-  if (listen) {
-    const rpc::RpcServerStats rpc_stats = run_rpc_front_end(server, args);
-    server.stop();
-    print_server_report(server, &rpc_stats);
-    if (chaos) print_fault_summary();
-    telemetry_outputs.write();
-    return 0;
-  }
-
-  const spn::DataMatrix data = spn::load_csv_file(requests_path);
-  if (data.cols() != artifact->input_features()) {
-    throw Error(strformat("CSV rows have %zu cells, the model expects %zu",
-                          data.cols(), artifact->input_features()));
-  }
-  const auto samples = data.to_bytes();
-  const std::size_t features = artifact->input_features();
-  const std::size_t count = samples.size() / features;
-
-  // Replay: every CSV row is one independent request against the
-  // first-listed query's lane. Under chaos, a fail-fast
-  // NoHealthyEngineError is handled the way a real client would: back
-  // off and resubmit until a probe readmits an engine.
-  const std::string replay_lane =
-      engine::lane_id_for(artifact->id(), queries.front());
-  const bool soft_errors = chaos || timeout_us > 0;
-  std::vector<std::future<std::vector<double>>> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::vector<std::uint8_t> row(
-        samples.begin() + static_cast<std::ptrdiff_t>(i * features),
-        samples.begin() + static_cast<std::ptrdiff_t>((i + 1) * features));
-    for (int backoff = 0;; ++backoff) {
-      try {
-        futures.push_back(server.submit(replay_lane, std::move(row)));
-        break;
-      } catch (const engine::NoHealthyEngineError& e) {
-        if (!soft_errors || backoff >= 2000) throw;
-        if (backoff == 0) {
-          std::fprintf(stderr, "serve: %s (backing off)\n", e.what());
+  const auto replay = [&](engine::InferenceServer& server) {
+    const spn::DataMatrix data = spn::load_csv_file(requests_path);
+    if (data.cols() != artifact->input_features()) {
+      throw Error(strformat("CSV rows have %zu cells, the model expects %zu",
+                            data.cols(), artifact->input_features()));
+    }
+    // Replay: every CSV row is one independent request against the
+    // first-listed query's lane. Under chaos, a fail-fast
+    // NoHealthyEngineError is handled the way a real client would: back
+    // off and resubmit until a probe readmits an engine.
+    const std::string replay_lane =
+        engine::lane_id_for(artifact->id(), queries.front());
+    const bool soft_errors = chaos || timeout_us > 0;
+    std::vector<std::future<std::vector<double>>> futures;
+    futures.reserve(data.rows());
+    for (auto& row : rows_as_payloads(data)) {
+      for (int backoff = 0;; ++backoff) {
+        try {
+          futures.push_back(server.submit(replay_lane, row));
+          break;
+        } catch (const engine::NoHealthyEngineError& e) {
+          if (!soft_errors || backoff >= 2000) throw;
+          if (backoff == 0) {
+            std::fprintf(stderr, "serve: %s (backing off)\n", e.what());
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
-  }
-  for (auto& future : futures) {
-    try {
-      std::printf("%.12e\n", future.get().front());
-    } catch (const std::exception& e) {
-      if (!soft_errors) throw;
-      std::printf("error: %s\n", e.what());
+    for (auto& future : futures) {
+      try {
+        std::printf("%.12e\n", future.get().front());
+      } catch (const std::exception& e) {
+        if (!soft_errors) throw;
+        std::printf("error: %s\n", e.what());
+      }
+    }
+  };
+  return serve_artifacts(args, telemetry_outputs, artifacts, chaos, replay);
+}
+
+/// The "--requests" CSV of `model`: its own "name=path" entry, else the
+/// pathless one shared by every model without its own; throws when
+/// neither was given.
+std::string requests_csv_for(const Args& args, const std::string& model) {
+  std::string own;
+  std::string shared;
+  for (const auto& raw : args.option_all("requests")) {
+    const auto eq = raw.find('=');
+    if (eq == std::string::npos) {
+      shared = raw;
+    } else if (raw.substr(0, eq) == model) {
+      own = raw.substr(eq + 1);
     }
   }
-  server.stop();
-
-  print_server_report(server);
-  if (chaos) print_fault_summary();
-  telemetry_outputs.write();
-  return 0;
+  if (own.empty() && shared.empty()) {
+    throw Error("no --requests CSV for model '" + model + "'");
+  }
+  return own.empty() ? shared : own;
 }
 
 /// Loadgen "--model name[:weight]" entries plus "--requests [name=]path"
@@ -1277,16 +1264,6 @@ int cmd_serve(const Args& args) {
 /// the shared fallback payload source for models without their own.
 std::vector<rpc::ModelTraffic> parse_traffic_mix(const Args& args) {
   const auto model_specs = args.option_all("model");
-  std::map<std::string, std::string> csv_by_model;
-  std::string shared_csv;
-  for (const auto& raw : args.option_all("requests")) {
-    const auto eq = raw.find('=');
-    if (eq == std::string::npos) {
-      shared_csv = raw;
-    } else {
-      csv_by_model[raw.substr(0, eq)] = raw.substr(eq + 1);
-    }
-  }
   std::vector<rpc::ModelTraffic> mix;
   for (const auto& spec : model_specs) {
     rpc::ModelTraffic traffic;
@@ -1299,13 +1276,8 @@ std::vector<rpc::ModelTraffic> parse_traffic_mix(const Args& args) {
         throw Error("--model " + spec + ": weight must be positive");
       }
     }
-    const auto it = csv_by_model.find(traffic.model);
-    const std::string path = it != csv_by_model.end() ? it->second
-                                                      : shared_csv;
-    if (path.empty()) {
-      throw Error("no --requests CSV for model '" + traffic.model + "'");
-    }
-    traffic.payloads = rows_as_payloads(spn::load_csv_file(path));
+    traffic.payloads = rows_as_payloads(
+        spn::load_csv_file(requests_csv_for(args, traffic.model)));
     mix.push_back(std::move(traffic));
   }
   return mix;
@@ -1425,19 +1397,6 @@ int cmd_soak(const Args& args) {
     std::fprintf(stderr, "fault plan disarmed (--disarm)\n");
   }
 
-  // --requests name=csv per model, with a pathless --requests CSV as the
-  // shared fallback (same convention as loadgen's traffic mix).
-  std::map<std::string, std::string> csv_by_model;
-  std::string shared_csv;
-  for (const auto& raw : args.option_all("requests")) {
-    const auto eq = raw.find('=');
-    if (eq == std::string::npos) {
-      shared_csv = raw;
-    } else {
-      csv_by_model[raw.substr(0, eq)] = raw.substr(eq + 1);
-    }
-  }
-
   soak::SoakConfig config;
   config.seed = static_cast<std::uint64_t>(
       std::atoll(args.option("seed", "42").c_str()));
@@ -1463,13 +1422,10 @@ int cmd_soak(const Args& args) {
     soak::SoakModel entry;
     entry.model = model::ModelArtifact::load_file(
         spec.name, spec.version, spec.path, backend_for(format));
-    const auto it = csv_by_model.find(spec.name);
-    const std::string csv =
-        it != csv_by_model.end() ? it->second : shared_csv;
-    if (csv.empty()) {
-      throw Error("no --requests CSV for soak model '" + spec.name + "'");
-    }
-    entry.payloads = rows_as_payloads(spn::load_csv_file(csv));
+    // --requests name=csv per model, with a pathless --requests CSV as
+    // the shared fallback (same convention as loadgen's traffic mix).
+    entry.payloads = rows_as_payloads(
+        spn::load_csv_file(requests_csv_for(args, spec.name)));
     std::fprintf(stderr, "loaded %s (%zu payloads)\n",
                  entry.model->describe().c_str(), entry.payloads.size());
     config.models.push_back(std::move(entry));
