@@ -32,6 +32,15 @@ std::pair<std::string, std::string> split_lane_ref(const std::string& ref) {
   return {ref.substr(0, hash), std::move(suffix)};
 }
 
+bool lane_ref_names(const std::string& ref, const std::string& id) {
+  if (ref == id) return true;
+  const auto [base, suffix] = split_lane_ref(ref);
+  const auto [id_base, id_suffix] = split_lane_ref(id);
+  const std::size_t at = id_base.rfind('@');
+  return id_suffix == suffix && at != std::string::npos &&
+         id_base.compare(0, at, base) == 0;
+}
+
 std::string EngineStats::describe() const {
   std::string text = strformat(
       "%llu batches, %llu samples, %.3f ms busy -> %s",

@@ -8,9 +8,8 @@
 //     (backpressure) and try_submit() rejects; every entry point runs
 //     through one private enqueue(),
 //   * coalesces adjacent same-model requests into engine batches of up to
-//     batch_samples — batches never mix models — flushing a partial batch
-//     once the oldest queued request of its lane has waited max_latency
-//     (the tail-latency bound),
+//     batch_samples — batches never mix models — by the BatchPlanner rule
+//     (batch_planner.hpp), whose max_latency flush bounds tail latency,
 //   * dispatches batches across the engines currently serving that model,
 //     round-robin or by least expected completion time (outstanding work
 //     divided by measured throughput, falling back to the engine's
@@ -84,6 +83,7 @@
 #include <thread>
 #include <vector>
 
+#include "spnhbm/engine/batch_planner.hpp"
 #include "spnhbm/engine/engine.hpp"
 #include "spnhbm/engine/service.hpp"
 #include "spnhbm/telemetry/trace.hpp"
@@ -98,6 +98,14 @@ class DeadlineExceededError : public Error {
  public:
   explicit DeadlineExceededError(const std::string& what)
       : Error("deadline exceeded: " + what) {}
+};
+
+/// The request's payload is malformed (a dense payload that is not a
+/// whole, positive number of rows). Not retryable.
+class InvalidRequestError : public Error {
+ public:
+  explicit InvalidRequestError(const std::string& what)
+      : Error("invalid request: " + what) {}
 };
 
 /// The request holds more samples than ServerConfig::max_queue_samples,
@@ -295,7 +303,8 @@ class InferenceServer : public InferenceService {
   /// then stops all threads. Idempotent; the destructor calls it.
   void stop();
 
-  // Every submit throws RequestTooLargeError for a request larger than
+  // Every submit throws InvalidRequestError for a dense payload that is
+  // not whole rows, RequestTooLargeError for a request larger than
   // the whole queue bound, NoHealthyEngineError while every engine of the
   // model is quarantined, and RuntimeApiError before any engine is
   // registered, after stop() and for unknown or ambiguous models.
@@ -327,9 +336,8 @@ class InferenceServer : public InferenceService {
   /// `sample_count` samples. The stream is validated at this front door
   /// (a malformed one throws ParseError here, never inside an engine
   /// where it would read as an engine fault and trip the health
-  /// machinery). The stream is self-delimiting per sample (a u16 count,
-  /// then index/value pairs), but by current policy a sparse request is
-  /// dispatched alone as one batch, never coalesced or sliced.
+  /// machinery). By the BatchPlanner rule a sparse request dispatches
+  /// alone and whole, as soon as it reaches the head of its lane.
   std::optional<std::future<std::vector<double>>> try_submit_sparse(
       const std::string& model, std::vector<std::uint8_t> stream,
       std::size_t sample_count,
@@ -356,14 +364,11 @@ class InferenceServer : public InferenceService {
   std::size_t outstanding_samples() const override;
   /// Input width of a named model; throws RuntimeApiError when unknown.
   std::size_t input_features(const std::string& model) const override;
-  /// Effective coalescing target of a named model's lane (tuned per-lane
-  /// override or the server-wide target). Throws RuntimeApiError for
-  /// unknown/ambiguous models.
-  std::size_t batch_samples(const std::string& model) const;
   ServerStats stats() const;
 
  private:
   static constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
+  using Planner = BatchPlanner<std::chrono::steady_clock::time_point>;
 
   struct PendingRequest {
     std::string model;  ///< lane id ("name@version" + query-kind suffix)
@@ -385,7 +390,7 @@ class InferenceServer : public InferenceService {
     /// Distributed-tracing context; invalid (trace_id 0) when untraced.
     telemetry::TraceContext trace;
     /// samples holds a CSR evidence stream; the request dispatches as one
-    /// indivisible batch (cursor jumps 0 -> count).
+    /// indivisible batch (cursor jumps 0 -> count) that takes the stream.
     bool sparse = false;
   };
 
@@ -449,7 +454,6 @@ class InferenceServer : public InferenceService {
     bool retired = false;
     /// Lane id of the engine's loaded model (updated on activation).
     std::string model_id;
-    std::size_t input_features = 0;
     /// Requested hot-swap target; the worker runs it once its queue
     /// drains. While set, the dispatcher hands the worker no new batches.
     ModelHandle pending_activation;
@@ -481,10 +485,15 @@ class InferenceServer : public InferenceService {
   std::size_t lane_batch_locked(const ModelLane& lane) const {
     return lane.batch_samples > 0 ? lane.batch_samples : batch_samples_;
   }
-  std::chrono::microseconds lane_max_latency_locked(
-      const ModelLane& lane) const {
-    return lane.max_latency.count() > 0 ? lane.max_latency
-                                        : config_.max_latency;
+  Planner planner_locked(const ModelLane& lane) const {
+    return Planner(lane_batch_locked(lane), lane.max_latency.count() > 0
+                                                ? lane.max_latency
+                                                : config_.max_latency);
+  }
+  /// The planner's view of a non-empty lane.
+  Planner::Lane plan_view_locked(const ModelLane& lane) const {
+    const PendingRequest& head = *lane.queue.front();
+    return {lane.queued_samples, head.enqueue_time, head.sparse, stopping_};
   }
   /// Resolves a model reference (lane id or unambiguous bare name) to a
   /// lane id; throws RuntimeApiError for unknown/ambiguous references.
@@ -507,13 +516,16 @@ class InferenceServer : public InferenceService {
   /// Throws NoHealthyEngineError if a started server cannot serve new work
   /// for `model`; RuntimeApiError when no engine hosts it at all.
   void require_admissible_locked(const std::string& model) const;
-  Batch form_batch_locked(const std::string& model, ModelLane& lane);
-  std::size_t pick_engine_locked(const Batch& batch);
-  /// False when no engine of the batch's model is currently eligible
-  /// (batch untouched).
-  bool dispatch_batch_locked(Batch& batch);
-  bool any_engine_available_locked(std::chrono::steady_clock::time_point now,
-                                   const std::string& model) const;
+  /// Takes `plan` (from the lane's planner) off the lane: copies dense
+  /// rows, moves a sparse stream, stamps queue waits and books the batch.
+  Batch form_batch_locked(const std::string& model, ModelLane& lane,
+                          const BatchPlan& plan);
+  /// The engine for a batch of `samples` samples of `model` (a due probe
+  /// first, then the policy over the best tier, avoiding engine `avoid`
+  /// when another is eligible), or kNoWorker when none is eligible.
+  std::size_t pick_engine_locked(const std::string& model, std::size_t samples,
+                                 std::size_t avoid);
+  void dispatch_batch_locked(Batch& batch, std::size_t target);
   void complete_slice_locked(const BatchSlice& slice);
   void expire_request_locked(PendingRequest& request);
   void finish_batch_locked(const Batch& batch);

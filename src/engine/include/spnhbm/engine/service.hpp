@@ -57,6 +57,11 @@ std::string lane_id_for(const std::string& model_id,
 /// so '#' elsewhere in an id stays part of the base.
 std::pair<std::string, std::string> split_lane_ref(const std::string& ref);
 
+/// True when reference `ref` names lane `id`: the id itself, or its bare
+/// model name with the same kind suffix ("m" names "m@1", "m#mpe" names
+/// "m@1#mpe", but "m" never names "m@1#mpe").
+bool lane_ref_names(const std::string& ref, const std::string& id);
+
 class InferenceService {
  public:
   virtual ~InferenceService() = default;

@@ -187,7 +187,6 @@ std::size_t InferenceServer::register_engine(
   worker->priority = priority;
   worker->device = std::move(device);
   worker->model_id = model_id;
-  worker->input_features = caps.input_features;
   worker->nominal_throughput = caps.nominal_throughput;
   worker->probe_interval = config_.health.probe_interval;
   if (config_.batch_samples == 0) {
@@ -309,19 +308,10 @@ void InferenceServer::stop() {
 std::string InferenceServer::resolve_model_locked(
     const std::string& ref) const {
   if (lanes_.count(ref) > 0) return ref;
-  // Bare model name, optionally kind-suffixed ("m", "m#marginal"): unique
-  // match over lane ids of the *same* query kind, so "m" still resolves
-  // to the joint lane even when marginal/MPE lanes of m are served too.
-  const auto [base, suffix] = split_lane_ref(ref);
-  std::vector<std::string> matches;
+  std::vector<std::string> matches;  // sorted: lanes_ is ordered
   for (const auto& [id, lane] : lanes_) {
     (void)lane;
-    const auto [id_base, id_suffix] = split_lane_ref(id);
-    if (id_suffix != suffix) continue;
-    const std::size_t at = id_base.rfind('@');
-    if (at != std::string::npos && id_base.substr(0, at) == base) {
-      matches.push_back(id);  // lanes_ is ordered: candidates come sorted
-    }
+    if (lane_ref_names(ref, id)) matches.push_back(id);
   }
   if (matches.size() == 1) return matches.front();
   if (matches.size() > 1) {
@@ -412,9 +402,11 @@ std::optional<std::future<std::vector<double>>> InferenceServer::enqueue(
     // fault and feed the health state machine.
     compiler::decode_sparse(payload, lane->input_features, count);
   } else {
-    SPNHBM_REQUIRE(
-        !payload.empty() && payload.size() % lane->input_features == 0,
-        "input is not a whole number of samples");
+    if (payload.empty() || payload.size() % lane->input_features != 0) {
+      throw InvalidRequestError(
+          strformat("payload of %zu bytes is not whole rows of %zu features",
+                    payload.size(), lane->input_features));
+    }
     count = payload.size() / lane->input_features;
   }
   if (count > config_.max_queue_samples) {
@@ -589,11 +581,6 @@ ServerStats InferenceServer::stats() const {
   return stats;
 }
 
-std::size_t InferenceServer::batch_samples(const std::string& model) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lane_batch_locked(lanes_.at(resolve_model_locked(model)));
-}
-
 const InferenceEngine& InferenceServer::engine(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Worker& worker = worker_at_locked(index);
@@ -621,19 +608,17 @@ std::string InferenceServer::engine_model(std::size_t index) const {
 }
 
 InferenceServer::Batch InferenceServer::form_batch_locked(
-    const std::string& model, ModelLane& lane) {
+    const std::string& model, ModelLane& lane, const BatchPlan& plan) {
   Batch batch;
   batch.model = model;
-  const std::size_t batch_target = lane_batch_locked(lane);
-  batch.samples.reserve(std::min(lane.queued_samples, batch_target) *
-                        lane.input_features);
-  while (batch.sample_count < batch_target && !lane.queue.empty()) {
+  batch.sparse = plan.sparse;
+  batch.sample_count = plan.samples;
+  if (!plan.sparse) batch.samples.reserve(plan.samples * lane.input_features);
+  lane.queued_samples -= plan.samples;
+  const std::size_t touched = plan.whole + (plan.partial > 0 ? 1 : 0);
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < touched; ++i) {
     auto& request = lane.queue.front();
-    // A sparse request rides alone (current policy; its CSR stream is
-    // self-delimiting per sample, but never mixes with dense rows). Close
-    // the dense batch formed so far; the sparse one follows on the next
-    // loop turn.
-    if (request->sparse && batch.sample_count > 0) break;
     if (request->cursor == 0) {
       // First slice of this request leaves the queue: its queue wait ends.
       queue_wait_us_->record(elapsed_us(request->enqueue_time));
@@ -649,30 +634,21 @@ InferenceServer::Batch InferenceServer::form_batch_locked(
     if (!batch.trace.valid() && request->trace.valid()) {
       batch.trace = request->trace;
     }
-    if (request->sparse) {
-      // Whole-request batch; the stream is copied so a retry after an
-      // engine failure re-dispatches from the batch, like dense batches.
-      batch.sparse = true;
-      batch.samples = request->samples;
-      batch.slices.push_back({request, 0, 0, request->count});
-      batch.sample_count = request->count;
-      request->cursor = request->count;
-      lane.queued_samples -= request->count;
-      lane.queue.pop_front();
-      break;
-    }
     const std::size_t take =
-        std::min(batch_target - batch.sample_count,
-                 request->count - request->cursor);
-    const auto* begin =
-        request->samples.data() + request->cursor * lane.input_features;
-    batch.samples.insert(batch.samples.end(), begin,
-                         begin + take * lane.input_features);
-    batch.slices.push_back(
-        {request, request->cursor, batch.sample_count, take});
+        i < plan.whole ? request->count - request->cursor : plan.partial;
+    if (plan.sparse) {
+      // The request never reads its stream again; a retry after an engine
+      // failure re-dispatches from the batch, like dense batches.
+      batch.samples = std::move(request->samples);
+    } else {
+      const auto* begin =
+          request->samples.data() + request->cursor * lane.input_features;
+      batch.samples.insert(batch.samples.end(), begin,
+                           begin + take * lane.input_features);
+    }
+    batch.slices.push_back({request, request->cursor, offset, take});
     request->cursor += take;
-    batch.sample_count += take;
-    lane.queued_samples -= take;
+    offset += take;
     if (request->cursor == request->count) lane.queue.pop_front();
   }
   batch.results.resize(batch.sample_count);
@@ -690,30 +666,16 @@ InferenceServer::Batch InferenceServer::form_batch_locked(
   return batch;
 }
 
-bool InferenceServer::any_engine_available_locked(
-    std::chrono::steady_clock::time_point now,
-    const std::string& model) const {
-  for (const auto& worker : workers_) {
-    if (!worker_active(*worker) || worker->pending_activation ||
-        worker->model_id != model) {
-      continue;
-    }
-    if (worker->health != EngineHealth::kQuarantined) return true;
-    if (!worker->probe_in_flight && now >= worker->quarantined_until) {
-      return true;  // a probe slot is open
-    }
-  }
-  return false;
-}
-
-std::size_t InferenceServer::pick_engine_locked(const Batch& batch) {
+std::size_t InferenceServer::pick_engine_locked(const std::string& model,
+                                                std::size_t samples,
+                                                std::size_t avoid) {
   const auto now = std::chrono::steady_clock::now();
   // Only engines currently hosting the batch's model (and not mid-swap)
   // are candidates; batches never cross models.
   const auto serves = [&](std::size_t i) {
     const auto& worker = *workers_[i];
     return worker_active(worker) && !worker.pending_activation &&
-           worker.model_id == batch.model;
+           worker.model_id == model;
   };
   // Circuit-breaker probes take precedence: a due probe is the only way a
   // quarantined engine can prove itself again, and one batch of delay on
@@ -758,11 +720,10 @@ std::size_t InferenceServer::pick_engine_locked(const Batch& batch) {
   // another eligible engine exists.
   bool have_other = false;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (eligible(i) && i != batch.last_worker) have_other = true;
+    if (eligible(i) && i != avoid) have_other = true;
   }
-  const bool exclude_last = batch.attempts > 0 && have_other;
   const auto allowed = [&](std::size_t i) {
-    return eligible(i) && !(exclude_last && i == batch.last_worker);
+    return eligible(i) && !(have_other && i == avoid);
   };
   if (config_.policy == DispatchPolicy::kRoundRobin || workers_.size() == 1) {
     for (std::size_t step = 0; step < workers_.size(); ++step) {
@@ -788,9 +749,7 @@ std::size_t InferenceServer::pick_engine_locked(const Batch& batch) {
                             : worker.nominal_throughput;
     double eta;
     if (rate > 0.0) {
-      eta = static_cast<double>(worker.outstanding_samples +
-                                batch.sample_count) /
-            rate;
+      eta = static_cast<double>(worker.outstanding_samples + samples) / rate;
     } else {
       eta = worker.outstanding_samples == 0
                 ? 0.0
@@ -807,9 +766,7 @@ std::size_t InferenceServer::pick_engine_locked(const Batch& batch) {
   return best;
 }
 
-bool InferenceServer::dispatch_batch_locked(Batch& batch) {
-  const std::size_t target = pick_engine_locked(batch);
-  if (target == kNoWorker) return false;
+void InferenceServer::dispatch_batch_locked(Batch& batch, std::size_t target) {
   if (batch.attempts > 0 && batch.last_worker != target) {
     stats_.failovers += 1;
     ctr_failovers_->add(1);
@@ -819,7 +776,6 @@ bool InferenceServer::dispatch_batch_locked(Batch& batch) {
   worker.dispatched_samples += batch.sample_count;
   worker.queue.push_back(std::move(batch));
   worker.cv.notify_one();
-  return true;
 }
 
 void InferenceServer::expire_request_locked(PendingRequest& request) {
@@ -841,12 +797,10 @@ void InferenceServer::expire_request_locked(PendingRequest& request) {
     if (lane_it != lanes_.end()) {
       ModelLane& lane = lane_it->second;
       lane.queued_samples -= cancelled;
-      for (auto it = lane.queue.begin(); it != lane.queue.end(); ++it) {
-        if (it->get() == &request) {
-          lane.queue.erase(it);
-          break;
-        }
-      }
+      const auto it = std::find_if(
+          lane.queue.begin(), lane.queue.end(),
+          [&](const auto& queued) { return queued.get() == &request; });
+      if (it != lane.queue.end()) lane.queue.erase(it);
     }
     cv_space_.notify_all();
   }
@@ -991,7 +945,10 @@ void InferenceServer::dispatcher_loop() {
         it = retry_queue_.erase(it);
         continue;
       }
-      if (dispatch_batch_locked(*it)) {
+      const std::size_t target =
+          pick_engine_locked(it->model, it->sample_count, it->last_worker);
+      if (target != kNoWorker) {
+        dispatch_batch_locked(*it, target);
         it = retry_queue_.erase(it);
       } else {
         blocked.push_back(it->model);
@@ -1003,43 +960,43 @@ void InferenceServer::dispatcher_loop() {
              blocked.end();
     };
 
-    // 4. Fresh batches, per model lane: full ones immediately, partial
-    //    ones on the flush deadline (or unconditionally while draining
-    //    for stop()). Lanes with a blocked retry wait behind it.
+    // 4. Fresh batches, per model lane, whenever the planner says the
+    //    head batch is due (batch_planner.hpp). Lanes with a blocked
+    //    retry wait behind it.
     for (auto& [model, lane] : lanes_) {
       if (is_blocked(model)) continue;
+      const Planner planner = planner_locked(lane);
       while (!lane.queue.empty()) {
-        const bool full = lane.queued_samples >= lane_batch_locked(lane);
-        const bool flush_due =
-            now >= lane.queue.front()->enqueue_time +
-                       lane_max_latency_locked(lane);
-        if (!full && !flush_due && !stopping_) break;
-        if (!any_engine_available_locked(now, model)) {
+        const FlushReason reason = planner.due(plan_view_locked(lane), now);
+        if (reason == FlushReason::kNotDue) break;
+        const BatchPlan plan =
+            planner.plan(lane.queue.size(), [&](std::size_t i) {
+              const PendingRequest& request = *lane.queue[i];
+              return QueuedWork{request.count - request.cursor,
+                                request.sparse};
+            });
+        const std::size_t target =
+            pick_engine_locked(model, plan.samples, kNoWorker);
+        if (target == kNoWorker) {
           blocked.push_back(model);
           break;
         }
-        if (!full && !stopping_) {
+        if (reason == FlushReason::kDeadline) {
           stats_.deadline_flushes += 1;
           ctr_deadline_flushes_->add(1);
           telemetry::tracer().instant_wall(dispatcher_track_,
                                            "deadline_flush");
         }
         telemetry::tracer().instant_wall(dispatcher_track_, "dispatch");
-        Batch batch = form_batch_locked(model, lane);
-        const bool dispatched = dispatch_batch_locked(batch);
-        SPNHBM_REQUIRE(dispatched, "available engine vanished under the lock");
+        Batch batch = form_batch_locked(model, lane, plan);
+        dispatch_batch_locked(batch, target);
       }
     }
 
     // 5. Shutdown: everything queued has been drained to a terminal state.
-    bool lanes_empty = true;
-    for (const auto& [model, lane] : lanes_) {
-      (void)model;
-      if (!lane.queue.empty()) {
-        lanes_empty = false;
-        break;
-      }
-    }
+    const bool lanes_empty = std::all_of(
+        lanes_.begin(), lanes_.end(),
+        [](const auto& entry) { return entry.second.queue.empty(); });
     if (stopping_ && lanes_empty && retry_queue_.empty() &&
         pending_batches_ == 0) {
       return;
@@ -1053,9 +1010,8 @@ void InferenceServer::dispatcher_loop() {
     if (!live_requests_.empty()) consider(live_requests_.front()->deadline);
     for (const auto& batch : retry_queue_) consider(batch.not_before);
     for (const auto& [model, lane] : lanes_) {
-      if (lane.queue.empty() || stopping_ || is_blocked(model)) continue;
-      consider(lane.queue.front()->enqueue_time +
-               lane_max_latency_locked(lane));
+      if (lane.queue.empty() || is_blocked(model)) continue;
+      consider(planner_locked(lane).due_at(plan_view_locked(lane)));
     }
     // Blocked models: wake when the earliest probe window of one of their
     // engines opens (activation completions notify the cv directly).
@@ -1124,7 +1080,6 @@ void InferenceServer::perform_activation(std::unique_lock<std::mutex>& lock,
   if (!error) {
     const auto& caps = worker.engine->capabilities();
     worker.model_id = lane_id_of(worker.engine->loaded_model());
-    worker.input_features = caps.input_features;
     worker.nominal_throughput = caps.nominal_throughput;
     // The measured rate belonged to the outgoing model; start fresh.
     worker.completed_samples = 0;

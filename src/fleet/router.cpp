@@ -414,13 +414,9 @@ engine::InferenceServer& FleetRouter::server(std::size_t member) {
 
 std::size_t FleetRouter::replica_count(const std::string& model_ref) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = replicas_.find(model_ref);
-  if (it != replicas_.end()) return it->second.size();
   // Bare-name lookups are a convenience; unknown models simply have 0.
-  const auto [base, suffix] = engine::split_lane_ref(model_ref);
   for (const auto& [model, locations] : replicas_) {
-    if (engine::split_lane_ref(model).second != suffix) continue;
-    if (artifacts_.at(model)->name() == base) return locations.size();
+    if (engine::lane_ref_names(model_ref, model)) return locations.size();
   }
   return 0;
 }
@@ -464,16 +460,9 @@ std::string FleetRouter::describe() const {
 
 std::string FleetRouter::resolve_model_locked(const std::string& ref) const {
   if (replicas_.count(ref) > 0) return ref;
-  // Bare model name, optionally kind-suffixed: match within one query
-  // kind, so "m" finds the joint replicas even when marginal/MPE replicas
-  // of m are deployed too.
-  const auto [base, suffix] = engine::split_lane_ref(ref);
   std::string match;
   for (const auto& [model, locations] : replicas_) {
-    const auto [model_base, model_suffix] = engine::split_lane_ref(model);
-    (void)model_base;
-    if (model_suffix != suffix) continue;
-    if (artifacts_.at(model)->name() != base) continue;
+    if (!engine::lane_ref_names(ref, model)) continue;
     if (!match.empty()) {
       throw RuntimeApiError("model name '" + ref +
                             "' is ambiguous across versions; use name@version");

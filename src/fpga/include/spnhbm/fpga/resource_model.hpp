@@ -52,9 +52,6 @@ struct ResourceDeficit {
 std::vector<ResourceDeficit> resource_deficits(const ResourceVector& required,
                                                const ResourceVector& budget);
 
-/// One line per deficit, '\n'-joined (empty for an empty list).
-std::string describe_deficits(const std::vector<ResourceDeficit>& deficits);
-
 /// PlacementError that carries the per-resource breakdown: every placement
 /// failure in this module reports required vs available for each
 /// over-budget resource instead of a bare "does not fit".

@@ -57,15 +57,6 @@ std::vector<ResourceDeficit> resource_deficits(const ResourceVector& required,
   return deficits;
 }
 
-std::string describe_deficits(const std::vector<ResourceDeficit>& deficits) {
-  std::string text;
-  for (const auto& deficit : deficits) {
-    if (!text.empty()) text += "\n";
-    text += deficit.describe();
-  }
-  return text;
-}
-
 namespace {
 
 std::string deficit_message(const std::string& context,

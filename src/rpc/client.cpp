@@ -11,22 +11,15 @@ namespace spnhbm::rpc {
 
 std::uint32_t ServerInfo::input_features(const std::string& ref) const {
   const ModelInfo* match = nullptr;
-  // Advertised ids are lane ids — "name@version" plus an optional
-  // query-kind suffix ("#marginal"/"#mpe"). A bare-name ref matches only
-  // within its own suffix, so "m" stays unambiguous when the server also
-  // hosts "m@1#marginal".
-  const auto [base, suffix] = engine::split_lane_ref(ref);
+  // Advertised ids are lane ids; a bare-name ref matches only within its
+  // own query-kind suffix (engine::lane_ref_names).
   for (const ModelInfo& model : models) {
     if (model.id == ref) return model.input_features;
-    const auto [id_base, id_suffix] = engine::split_lane_ref(model.id);
-    if (id_suffix != suffix) continue;
-    const std::size_t at = id_base.rfind('@');
-    if (at != std::string::npos && id_base.substr(0, at) == base) {
-      if (match != nullptr) {
-        throw RpcError("model reference '" + ref + "' is ambiguous");
-      }
-      match = &model;
+    if (!engine::lane_ref_names(ref, model.id)) continue;
+    if (match != nullptr) {
+      throw RpcError("model reference '" + ref + "' is ambiguous");
     }
+    match = &model;
   }
   if (match == nullptr) throw RpcError("server hosts no model '" + ref + "'");
   return match->input_features;

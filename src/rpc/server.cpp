@@ -372,18 +372,10 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
            ctr_rejected_);
     return outgoing;
   }
-  // 2. Payload validation. Dense payloads must be whole rows (and agree
-  //    with a non-zero sample count); sparse streams are fully validated
-  //    by the serving layer's decoder below.
+  // 2. Frame consistency: a non-zero dense sample count must agree with
+  //    the payload. The payload itself (whole rows, a well-formed sparse
+  //    stream) is validated by the serving layer at submit below.
   if (!sparse) {
-    if (request.samples.empty() || request.samples.size() % features != 0) {
-      reject(Status::kInvalidRequest,
-             strformat("payload of %zu bytes is not a positive multiple of "
-                       "the model's %zu input features",
-                       request.samples.size(), features),
-             &RpcServerStats::rejected, ctr_rejected_);
-      return outgoing;
-    }
     if (request.sample_count != 0 &&
         request.sample_count != request.samples.size() / features) {
       reject(Status::kInvalidRequest,
@@ -410,10 +402,11 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
     return outgoing;
   }
   // 4. Submit (non-blocking; a full server queue is queue-depth shedding).
-  //    Sparse streams route through try_submit_sparse, whose front-door
-  //    decoder throws ParseError on a malformed payload — an invalid
-  //    request, not an engine fault. A request larger than the whole
-  //    queue bound can never be admitted, so it is invalid, not shed.
+  //    A dense payload that is not whole rows throws InvalidRequestError,
+  //    and try_submit_sparse's front-door decoder throws ParseError on a
+  //    malformed stream — invalid requests, not engine faults. A request
+  //    larger than the whole queue bound can never be admitted, so it is
+  //    invalid, not shed.
   try {
     outgoing.sample_count =
         sparse ? request.sample_count : request.samples.size() / features;
@@ -429,6 +422,10 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
     }
     outgoing.future = std::move(future);
   } catch (const ParseError& e) {
+    reject(Status::kInvalidRequest, e.what(), &RpcServerStats::rejected,
+           ctr_rejected_);
+    return outgoing;
+  } catch (const engine::InvalidRequestError& e) {
     reject(Status::kInvalidRequest, e.what(), &RpcServerStats::rejected,
            ctr_rejected_);
     return outgoing;
@@ -478,7 +475,12 @@ RpcServer::Outgoing RpcServer::handle_request(Connection& connection,
 ResponseFrame RpcServer::resolve(Outgoing& outgoing) {
   ResponseFrame response;
   response.request_id = outgoing.request_id;
-  if (outgoing.deadline_us > 0) {
+  // A deadline past what the clock can represent cannot expire: wait
+  // without one (adding it would overflow the time point).
+  const auto headroom = std::chrono::duration_cast<std::chrono::microseconds>(
+      SteadyClock::time_point::max() - outgoing.received);
+  if (outgoing.deadline_us > 0 &&
+      outgoing.deadline_us <= static_cast<std::uint64_t>(headroom.count())) {
     const auto deadline =
         outgoing.received + std::chrono::microseconds(outgoing.deadline_us);
     if (outgoing.future->wait_until(deadline) != std::future_status::ready) {

@@ -13,7 +13,9 @@
 //     firing deterministically by (site, instance, op-index),
 //   * scheduled hot-swaps (undeploy one replica, deploy a fresh one into
 //     a newly reconfigured partition) running *under* the traffic, and
-//   * periodic telemetry-driven rebalance passes.
+//   * periodic telemetry-driven rebalance passes, each after its wave's
+//     traffic has completed, so the counters it decides from do not
+//     depend on wall-clock progress.
 //
 // Virtual time is the fleet's cumulative partial-reconfiguration charge
 // (sum of FpgaDeviceStats::reconfiguration_seconds): every scheduled

@@ -195,6 +195,9 @@ SoakReport run_soak(const SoakConfig& config) {
       router.deploy(entry.model, 1);
       ++swap_counter;
     }
+    // Rebalance between waves: its counters then do not depend on how far
+    // the wave's clients got in wall time.
+    for (std::thread& thread : threads) thread.join();
     if (config.rebalance_every > 0 &&
         (wave + 1) % config.rebalance_every == 0) {
       const fleet::RebalanceReport pass = router.rebalance(policy);
@@ -202,7 +205,6 @@ SoakReport run_soak(const SoakConfig& config) {
       report.scale_ups += pass.scaled_up.size();
       report.scale_downs += pass.scaled_down.size();
     }
-    for (std::thread& thread : threads) thread.join();
     ++wave;
   }
   report.waves = wave;

@@ -62,7 +62,6 @@ class Tracer {
   void complete_wall(TrackId track, const char* name, WallTime start,
                      WallTime end);
   void instant_wall(TrackId track, const char* name);
-  void counter_wall(TrackId track, const char* name, double value);
 
   // --- Flow events ---------------------------------------------------------
   // Chrome flow events ('s' start, 't' step, 'f' end) sharing one `id`

@@ -70,11 +70,6 @@ void Tracer::instant_wall(TrackId track, const char* name) {
   push(Event{track, name, 'i', wall_us(wall_now()), 0.0, 0.0, 0});
 }
 
-void Tracer::counter_wall(TrackId track, const char* name, double value) {
-  if (!enabled()) return;
-  push(Event{track, name, 'C', wall_us(wall_now()), 0.0, value, 0});
-}
-
 void Tracer::flow_wall(TrackId track, const char* name, char phase,
                        std::uint64_t flow_id, WallTime at) {
   if (!enabled()) return;

@@ -1,12 +1,12 @@
 #include "spnhbm/tune/cost_model.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <map>
 #include <numeric>
 
 #include "spnhbm/compiler/sparse_evidence.hpp"
+#include "spnhbm/engine/batch_planner.hpp"
 #include "spnhbm/engine/fpga_engine.hpp"
 #include "spnhbm/util/error.hpp"
 #include "spnhbm/util/rng.hpp"
@@ -50,13 +50,11 @@ std::vector<std::uint8_t> make_sparse_stream(const WorkloadSpec& spec,
   return compiler::encode_sparse(batch);
 }
 
-/// One request still waiting in the replayed dispatcher queue.
-struct PendingRequest {
-  std::size_t index = 0;
-  double arrival_us = 0.0;
-  std::size_t remaining = 0;
-  bool sparse = false;
-};
+CandidateScore rejected(const std::exception& error) {
+  CandidateScore score;
+  score.rejection = error.what();
+  return score;
+}
 
 }  // namespace
 
@@ -124,92 +122,56 @@ CandidateScore score_candidate(const model::ModelHandle& model,
       return static_cast<double>(after - before) / kPsPerUs;
     };
 
-    // --- Open-loop replay of the server dispatcher -----------------------
-    const std::size_t target = config.batch_samples;
-    const double flush_us = static_cast<double>(config.flush_deadline_us);
-    std::deque<PendingRequest> queue;
-    std::size_t queued_samples = 0;
-    std::size_t next_arrival = 0;
-    double engine_free = 0.0;
-    double last_completion = 0.0;
+    // --- Open-loop replay of the server's lane: an event loop over
+    // arrivals and flush deadlines. The queue is the trace range
+    // [head, next), its head with `head_taken` samples dispatched.
+    const engine::BatchPlanner<double> planner(
+        config.batch_samples, static_cast<double>(config.flush_deadline_us));
+    const auto arrival = [&](std::size_t i) {
+      return static_cast<double>(trace[i].arrival_us);
+    };
+    std::size_t head = 0, head_taken = 0, next = 0, queued_samples = 0;
+    double now = arrival(0);
+    double engine_free = 0.0;  // also the last completion (FIFO service)
     std::vector<double> latency(trace.size(), 0.0);
-
-    auto admit_until = [&](double now) {
-      while (next_arrival < trace.size() &&
-             static_cast<double>(trace[next_arrival].arrival_us) <= now) {
-        const auto& request = trace[next_arrival];
-        queue.push_back({next_arrival,
-                         static_cast<double>(request.arrival_us),
-                         request.samples, request.sparse});
-        queued_samples += request.samples;
-        ++next_arrival;
-      }
+    const auto lane = [&]() {
+      return engine::BatchPlanner<double>::Lane{queued_samples, arrival(head),
+                                                trace[head].sparse, false};
     };
 
-    while (next_arrival < trace.size() || !queue.empty()) {
-      if (queue.empty()) {
-        admit_until(static_cast<double>(trace[next_arrival].arrival_us));
+    for (;;) {
+      for (; next < trace.size() && arrival(next) <= now; ++next) {
+        queued_samples += trace[next].samples;
       }
-      // Earliest instant the dispatcher could act on the current front.
-      double ready = std::max(engine_free, queue.front().arrival_us);
-      admit_until(ready);
-      if (queued_samples < target && !queue.front().sparse) {
-        // Partial dense batch: wait until arrivals fill it or the oldest
-        // request's flush deadline expires, whichever comes first.
-        const double flush_at = queue.front().arrival_us + flush_us;
-        double fill_at = std::numeric_limits<double>::infinity();
-        std::size_t cumulative = queued_samples;
-        for (std::size_t j = next_arrival; j < trace.size(); ++j) {
-          cumulative += trace[j].samples;
-          if (cumulative >= target) {
-            fill_at = static_cast<double>(trace[j].arrival_us);
-            break;
-          }
+      while (head < next &&
+             planner.due(lane(), now) != engine::FlushReason::kNotDue) {
+        const engine::BatchPlan plan =
+            planner.plan(next - head, [&](std::size_t i) {
+              const auto& request = trace[head + i];
+              return engine::QueuedWork{
+                  request.samples - (i == 0 ? head_taken : 0),
+                  request.sparse};
+            });
+        const double service =
+            plan.sparse ? sparse_service_us(head, plan.samples)
+                        : dense_service_us(plan.samples);
+        const double done = std::max(now, engine_free) + service;
+        engine_free = done;
+        queued_samples -= plan.samples;
+        for (std::size_t i = 0; i < plan.whole; ++i, ++head) {
+          latency[head] = done - arrival(head);
+          head_taken = 0;
         }
-        double dispatch_at = std::min(fill_at, flush_at);
-        if (!std::isfinite(dispatch_at)) dispatch_at = flush_at;
-        ready = std::max(ready, dispatch_at);
-        admit_until(ready);
+        head_taken += plan.partial;
+        ++score.batches;
       }
-
-      double service = 0.0;
-      std::vector<std::size_t> completed;
-      if (queue.front().sparse) {
-        // Sparse streams ride alone, exactly like the live dispatcher.
-        PendingRequest request = queue.front();
-        queue.pop_front();
-        queued_samples -= request.remaining;
-        service = sparse_service_us(request.index, request.remaining);
-        completed.push_back(request.index);
-      } else {
-        std::size_t batch = 0;
-        while (batch < target && !queue.empty() && !queue.front().sparse) {
-          const auto take =
-              std::min(target - batch, queue.front().remaining);
-          queue.front().remaining -= take;
-          batch += take;
-          queued_samples -= take;
-          if (queue.front().remaining == 0) {
-            completed.push_back(queue.front().index);
-            queue.pop_front();
-          } else {
-            break;  // the batch is full; the tail waits for the next one
-          }
-        }
-        service = dense_service_us(batch);
-      }
-      const double start = std::max(ready, engine_free);
-      const double done = start + service;
-      engine_free = done;
-      last_completion = std::max(last_completion, done);
-      for (const auto index : completed) {
-        latency[index] = done - static_cast<double>(trace[index].arrival_us);
-      }
-      ++score.batches;
+      if (head == trace.size()) break;
+      now = head < next ? planner.due_at(lane())
+                        : std::numeric_limits<double>::infinity();
+      if (next < trace.size()) now = std::min(now, arrival(next));
     }
 
-    const double first_arrival = static_cast<double>(trace.front().arrival_us);
-    const double makespan = std::max(last_completion - first_arrival, 1e-9);
+    const double makespan = std::max(engine_free - arrival(0), 1e-9);
     std::size_t total_samples = 0;
     for (const auto& request : trace) total_samples += request.samples;
     score.feasible = true;
@@ -220,14 +182,11 @@ CandidateScore score_candidate(const model::ModelHandle& model,
         static_cast<double>(latency.size());
     score.makespan_us = static_cast<std::uint64_t>(makespan);
   } catch (const ConfigError& error) {
-    score = CandidateScore{};
-    score.rejection = error.what();
+    return rejected(error);
   } catch (const PlacementError& error) {
-    score = CandidateScore{};
-    score.rejection = error.what();
+    return rejected(error);
   } catch (const DeviceMemoryError& error) {
-    score = CandidateScore{};
-    score.rejection = error.what();
+    return rejected(error);
   }
   return score;
 }

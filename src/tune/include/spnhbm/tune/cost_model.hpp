@@ -3,15 +3,15 @@
 // score_candidate() builds a fresh FpgaSimEngine composed exactly as the
 // candidate prescribes (PE count, block size, HBM channel packing,
 // crossbar routing) and replays the workload trace against it in virtual
-// time. The replay mirrors the InferenceServer dispatcher: requests
-// coalesce greedily up to the candidate's batch_samples, a partial batch
-// flushes once its oldest request has waited flush_deadline_us, sparse
-// streams ride alone, and the engine serves one batch at a time. Dense
-// batch service times come from the block-pipelined timing path
-// (InferenceRuntime::run), memoised per batch size; sparse service times
-// come from timing real CSR streams through infer_sparse. Everything is
-// virtual-time DES — scoring a candidate takes milliseconds of wall
-// clock and is bit-reproducible from the trace.
+// time. The replay asks the InferenceServer's own engine::BatchPlanner,
+// with the candidate's batch_samples and flush_deadline_us, at every
+// arrival and flush deadline; a due batch is queued at the engine at once,
+// and the engine serves batches FIFO, one at a time. Dense batch service
+// times come from the block-pipelined timing path (InferenceRuntime::run),
+// memoised per batch size; sparse service times come from timing real CSR
+// streams through infer_sparse. Everything is virtual-time DES — scoring a
+// candidate takes milliseconds of wall clock and is bit-reproducible from
+// the trace.
 //
 // Candidates that cannot be composed (placement deficit, invalid knobs,
 // device memory exhausted by the block size) score as infeasible with

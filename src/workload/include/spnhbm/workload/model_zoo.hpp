@@ -36,7 +36,4 @@ const std::vector<std::size_t>& nips_benchmark_sizes();
 NipsModel make_nips_model(std::size_t variables,
                           std::uint64_t seed = 20220530);
 
-/// Builds the full suite (one model per benchmark size).
-std::vector<NipsModel> make_nips_suite(std::uint64_t seed = 20220530);
-
 }  // namespace spnhbm::workload

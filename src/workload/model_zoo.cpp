@@ -39,13 +39,4 @@ NipsModel make_nips_model(std::size_t variables, std::uint64_t seed) {
   return model;
 }
 
-std::vector<NipsModel> make_nips_suite(std::uint64_t seed) {
-  std::vector<NipsModel> suite;
-  suite.reserve(nips_benchmark_sizes().size());
-  for (const std::size_t size : nips_benchmark_sizes()) {
-    suite.push_back(make_nips_model(size, seed));
-  }
-  return suite;
-}
-
 }  // namespace spnhbm::workload

@@ -240,5 +240,30 @@ TEST(QueryEngines, ServerValidatesSparseStreamsAtTheFrontDoor) {
   server.stop();
 }
 
+TEST(QueryEngines, LoneSparseRequestDispatchesWithoutWaitingForTheFlush) {
+  // A sparse request rides alone, so waiting cannot fill its batch: it
+  // dispatches as soon as it heads its lane, not at the flush deadline.
+  const spn::Spn spn = query_spn(107);
+  const auto marginal =
+      query_artifact(spn, compiler::QueryKind::kMarginal, "m");
+  ServerConfig config;
+  config.batch_samples = 64;
+  config.max_latency = std::chrono::seconds(5);
+  InferenceServer server(config);
+  server.register_engine(std::make_shared<CpuEngine>(marginal));
+  server.start();
+
+  const MissingBatch batch = missing_batch(3, 107);
+  const auto stream = compiler::encode_sparse(compiler::sparse_from_dense(
+      batch.bytes, kVars, marginal->module().default_evidence()));
+  auto future = server.try_submit_sparse("m#marginal", stream, 3);
+  ASSERT_TRUE(future.has_value());
+  ASSERT_EQ(future->wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_EQ(future->get().size(), 3u);
+  EXPECT_EQ(server.stats().deadline_flushes, 0u);
+  server.stop();
+}
+
 }  // namespace
 }  // namespace spnhbm::engine

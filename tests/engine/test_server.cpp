@@ -207,9 +207,11 @@ TEST(Server, SubmitValidatesRequests) {
   engine::InferenceServer server(validate_config);
   server.register_engine(std::make_shared<MockEngine>());
 
-  // Not a whole number of rows.
+  // Not a whole number of rows: a typed, non-retryable request error.
   EXPECT_THROW(server.submit(std::vector<std::uint8_t>(kFeatures + 1, 0)),
-               std::logic_error);
+               engine::InvalidRequestError);
+  EXPECT_THROW(server.submit(std::vector<std::uint8_t>{}),
+               engine::InvalidRequestError);
   // A single request larger than the whole queue bound can never fit,
   // whichever entry point it arrives by.
   EXPECT_THROW(server.submit(make_request(17, 0)),
@@ -276,7 +278,7 @@ TEST(Server, DefaultBatchSizeIsTheSmallestEnginePreference) {
   engine::InferenceServer server;  // batch_samples = 0 -> derive
   server.register_engine(std::make_shared<MockEngine>(large));
   server.register_engine(std::make_shared<MockEngine>(small));
-  EXPECT_EQ(server.batch_samples("mock@1"), 32u);
+  EXPECT_EQ(server.stats().per_model.at("mock@1").batch_samples, 32u);
 }
 
 TEST(Server, PerEngineAccessorsRejectOutOfRangeIndices) {

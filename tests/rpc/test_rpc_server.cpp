@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -242,6 +243,25 @@ TEST(RpcServer, PerRequestDeadlineMapsToDeadlineExceeded) {
   const RpcServerStats stats = harness.front->stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.deadline_exceeded, 1u);
+}
+
+TEST(RpcServer, DeadlinesBeyondTheClockNeverExpire) {
+  // 2^63 us and UINT64_MAX us cannot be added to a steady_clock time
+  // point; the server waits without a deadline and answers OK.
+  Harness harness;
+  const auto client = harness.connect();
+  std::uint8_t tag = 30;
+  for (const std::uint64_t deadline :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    const auto request = make_request(2, tag++);
+    auto future = client->submit("mock@1", request, deadline);
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    expect_encoded(request, future.get());
+  }
+  const RpcServerStats stats = harness.front->stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
 }
 
 /// Raw ADMIN poll over a fresh socket: consume the server's HELLO, send

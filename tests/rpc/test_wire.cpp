@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "spnhbm/rpc/admission.hpp"
@@ -64,6 +65,21 @@ TEST(Wire, RequestRoundtrip) {
   EXPECT_EQ(decoded.model, request.model);
   EXPECT_EQ(decoded.deadline_us, request.deadline_us);
   EXPECT_EQ(decoded.samples, request.samples);
+}
+
+TEST(Wire, RequestRoundtripsDeadlinesBeyondTheClock) {
+  // Deadlines above what a steady_clock time point can hold still travel
+  // bit-exact; RpcServer treats them as "no deadline".
+  for (const std::uint64_t deadline :
+       {std::uint64_t{1} << 63, std::numeric_limits<std::uint64_t>::max()}) {
+    RequestFrame request;
+    request.request_id = 7;
+    request.model = "mock@1";
+    request.deadline_us = deadline;
+    request.samples = {0, 1, 2, 3};
+    const RequestFrame decoded = decode_request(encode_request(request).body);
+    EXPECT_EQ(decoded.deadline_us, deadline);
+  }
 }
 
 TEST(Wire, ResponseRoundtripOk) {

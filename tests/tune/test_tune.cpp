@@ -349,7 +349,7 @@ TEST(ServerTuning, LaneUsesManifestBatchAndFlush) {
   engine::InferenceServer server(config);
   server.register_engine(std::make_shared<engine::CpuEngine>(model));
   server.start();
-  EXPECT_EQ(server.batch_samples(model->id()), 4u);
+  EXPECT_EQ(server.stats().per_model.at(model->id()).batch_samples, 4u);
 
   std::vector<std::future<std::vector<double>>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -376,7 +376,7 @@ TEST(ServerTuning, UntunedLaneKeepsServerDefaults) {
   engine::InferenceServer server(config);
   server.register_engine(std::make_shared<engine::CpuEngine>(model));
   server.start();
-  EXPECT_EQ(server.batch_samples(model->id()), 64u);
+  EXPECT_EQ(server.stats().per_model.at(model->id()).batch_samples, 64u);
   server.stop();
 }
 
