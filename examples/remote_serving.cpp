@@ -67,7 +67,7 @@ int main() {
     requests.emplace_back(docs.begin() + cursor * variables,
                           docs.begin() + (cursor + 8) * variables);
   }
-  std::vector<std::future<std::vector<double>>> futures;
+  std::vector<rpc::RpcFuture> futures;
   futures.reserve(requests.size());
   for (const auto& request : requests) {
     futures.push_back(client->submit("", request));

@@ -116,7 +116,6 @@ class SampleView {
     return view;
   }
 
-  bool is_sparse() const { return is_sparse_; }
   std::size_t active_count() const {
     return is_sparse_ ? indices_.size() : row_.size();
   }

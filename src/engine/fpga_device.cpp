@@ -27,7 +27,6 @@ FpgaSimEngine& FpgaSimDevice::add_tenant(const std::string& partition,
   engine_config.pcie_generation = config_.pcie_generation;
   engine_config.include_transfers = config_.include_transfers;
   engine_config.compute_results = config_.compute_results;
-  engine_config.dma_failure_rate = config_.dma_failure_rate;
   // The table already placement-checked the *combined* design (shared
   // shell + every tenant); re-checking the tenant alone against the full
   // budget would be both redundant and too lenient.

@@ -32,7 +32,6 @@ tapasco::CompositionConfig make_composition(
   composition.pcie_generation = config.pcie_generation;
   composition.compute_results = config.compute_results;
   composition.skip_placement_check = config.skip_placement_check;
-  composition.dma_failure_rate = config.dma_failure_rate;
   return composition;
 }
 
@@ -62,6 +61,13 @@ FpgaEngineConfig with_model_tuning(FpgaEngineConfig config,
     config.hbm_crossbar = tuning->config.hbm_crossbar;
   }
   return config;
+}
+
+/// The card's `pcie.dma` fault-site instance: the partition label is
+/// unique per tenant and fixed before any traffic, so each card's DMA op
+/// counter is independent of how threads interleave.
+std::string card_label(const FpgaEngineConfig& config) {
+  return config.partition_label.empty() ? "dma" : config.partition_label;
 }
 
 /// Device bytes of one PE's lookup-table image in the artifact's format.
@@ -99,7 +105,8 @@ FpgaSimEngine::FpgaSimEngine(ModelHandle model, FpgaEngineConfig config)
   const FpgaEngineConfig effective = with_model_tuning(config_, *model_);
   device_ = std::make_unique<tapasco::Device>(
       runner_, model_->module(), model_->backend(),
-      make_composition(model_->module(), model_->backend(), effective));
+      make_composition(model_->module(), model_->backend(), effective),
+      card_label(config_));
   runtime_ = std::make_unique<runtime::InferenceRuntime>(
       runner_, *device_, model_->module(), make_runtime_config(effective));
   if (config_.charge_initial_program) {
@@ -149,16 +156,13 @@ Picoseconds FpgaSimEngine::program_and_stage(
       bitstream_bytes / fpga::cal::kIcapBytesPerSecond *
       static_cast<double>(kPicosecondsPerSecond));
   const std::uint64_t table_bytes = table_image_bytes(artifact);
-  tapasco::Device* staged_device = &device;
-  runtime::InferenceRuntime* staged = &runtime;
-  runner_.spawn([this, staged_device, staged, program_time,
+  runner_.spawn([this, &device, &runtime, program_time,
                  table_bytes]() -> sim::Process {
     co_await sim::delay(scheduler_, program_time);
-    for (std::size_t pe = 0; pe < staged_device->pe_count(); ++pe) {
+    for (std::size_t pe = 0; pe < device.pe_count(); ++pe) {
       if (table_bytes == 0) continue;
-      runtime::DeviceBuffer image(staged->memory(), pe, table_bytes);
-      co_await staged_device->copy_to_device_timed(pe, image.address(),
-                                                   table_bytes);
+      runtime::DeviceBuffer image(runtime.memory(), pe, table_bytes);
+      co_await device.copy_to_device(pe, image.address(), table_bytes);
     }
   });
   scheduler_.run();
@@ -177,7 +181,8 @@ void FpgaSimEngine::activate(ModelHandle next) {
   const FpgaEngineConfig effective = with_model_tuning(config_, *next);
   auto device = std::make_unique<tapasco::Device>(
       runner_, next->module(), next->backend(),
-      make_composition(next->module(), next->backend(), effective));
+      make_composition(next->module(), next->backend(), effective),
+      card_label(config_));
   auto staged_runtime = std::make_unique<runtime::InferenceRuntime>(
       runner_, *device, next->module(), make_runtime_config(effective));
 
@@ -199,19 +204,9 @@ BatchHandle FpgaSimEngine::submit(std::span<const std::uint8_t> samples,
   // The DES completes the job inside submit; wait() is the barrier that
   // hands the handle back.
   const Picoseconds before = scheduler_.now();
-  const auto probabilities = runtime_->infer(samples);
-  std::copy(probabilities.begin(), probabilities.end(), results.begin());
-  telemetry::tracer().complete_virtual(track_, "infer", before,
-                                       scheduler_.now());
-  if (const std::uint64_t trace_id = current_trace_id()) {
-    telemetry::tracer().flow_virtual(track_, "request", 't', trace_id, before);
-  }
-  stats_.batches += 1;
-  stats_.samples += count;
-  const double batch_seconds = to_seconds(scheduler_.now() - before);
-  stats_.busy_seconds += batch_seconds;
-  batch_latency_us_.record(batch_seconds * 1e6);
-  return next_handle_++;
+  const auto values = runtime_->infer(samples);
+  std::copy(values.begin(), values.end(), results.begin());
+  return finish_batch("infer", before, count);
 }
 
 BatchHandle FpgaSimEngine::submit_sparse(std::span<const std::uint8_t> stream,
@@ -221,13 +216,17 @@ BatchHandle FpgaSimEngine::submit_sparse(std::span<const std::uint8_t> stream,
   const Picoseconds before = scheduler_.now();
   const auto values = runtime_->infer_sparse(stream, sample_count);
   std::copy(values.begin(), values.end(), results.begin());
-  telemetry::tracer().complete_virtual(track_, "infer_sparse", before,
-                                       scheduler_.now());
+  return finish_batch("infer_sparse", before, sample_count);
+}
+
+BatchHandle FpgaSimEngine::finish_batch(const char* span, Picoseconds before,
+                                        std::size_t samples) {
+  telemetry::tracer().complete_virtual(track_, span, before, scheduler_.now());
   if (const std::uint64_t trace_id = current_trace_id()) {
     telemetry::tracer().flow_virtual(track_, "request", 't', trace_id, before);
   }
   stats_.batches += 1;
-  stats_.samples += sample_count;
+  stats_.samples += samples;
   const double batch_seconds = to_seconds(scheduler_.now() - before);
   stats_.busy_seconds += batch_seconds;
   batch_latency_us_.record(batch_seconds * 1e6);

@@ -45,7 +45,6 @@ struct FpgaDeviceConfig {
   int threads_per_pe = 1;
   bool include_transfers = true;
   bool compute_results = true;
-  double dma_failure_rate = 0.0;
 };
 
 /// Cumulative partial-reconfiguration accounting for one device.

@@ -6,11 +6,11 @@
 // N engines with the InferenceServer models sharding across N independent
 // cards.
 //
-// Functional batches run through the full copy/launch/readback path of
-// InferenceRuntime::infer; measure_throughput drives the block-pipelined
-// timing path (InferenceRuntime::run), which is exactly how the Fig. 4/5/6
-// benchmarks measured before this layer existed — the numbers are
-// unchanged by construction.
+// Batches (dense via InferenceRuntime::infer, CSR via infer_sparse) and
+// measure_throughput (InferenceRuntime::run, the Fig. 4/5/6 timing path)
+// run one job path: the §IV-B runtime's blocks over every PE. A served
+// batch costs exactly the virtual time the autotuner and the figure
+// benchmarks measure for its size.
 //
 // activate() models a real model swap: the next design is composed (and
 // placement-checked) first, the card is reprogrammed (charged in virtual
@@ -60,13 +60,13 @@ struct FpgaEngineConfig {
   /// engine then rejects submit() but measure_throughput still works.
   bool compute_results = true;
   bool skip_placement_check = false;
-  double dma_failure_rate = 0.0;
   // --- Partitioned-tenant context (set by FpgaSimDevice) -------------------
   /// Fraction of the full-device bitstream this engine's partition covers.
   /// In (0, 1]: reconfiguration is partial (charge scales with the
   /// fraction); 0 = the engine owns the whole device (full bitstream).
   double partition_bitstream_fraction = 0.0;
-  /// Display label ("device/partition") appended to capabilities().name.
+  /// Display label ("device/partition") appended to capabilities().name,
+  /// and the card's `pcie.dma` fault-site instance ("dma" when empty).
   std::string partition_label;
   /// Charge the initial partition programming + table staging in virtual
   /// time at construction (adding a tenant reconfigures its partition;
@@ -108,6 +108,10 @@ class FpgaSimEngine : public InferenceEngine {
 
  private:
   void refresh_capabilities();
+  /// Books a batch that started at virtual time `before` (trace span,
+  /// stats) and returns its handle.
+  BatchHandle finish_batch(const char* span, Picoseconds before,
+                           std::size_t samples);
   /// Streams the (partial or full) bitstream through the ICAP and stages
   /// `artifact`'s lookup tables into each PE's channel over the DMA path,
   /// all in virtual time; returns the reconfiguration charge.

@@ -26,8 +26,9 @@
 // every run with the same seed.
 //
 // Site inventory. Device/substrate sites: "hbm.access", "pcie.dma",
-// "pe.launch", "engine.submit", "engine.wait", "engine.activate"
-// (instance = channel/PE/engine label). Network sites (DESIGN.md §12):
+// "pe.launch", "engine.submit", "engine.wait", "engine.activate" (instance
+// = channel/card/PE/engine label; a card is its engine's partition label,
+// "dma" for a whole-device engine). Network sites (DESIGN.md §12):
 // "rpc.accept" (instance "listener", one op per accepted socket),
 // "rpc.hello", "rpc.conn.rx" and "rpc.conn.tx" (instance "conn<N>"; rx
 // counts received frames, tx counts sent frames with the HELLO as tx op

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "spnhbm/sim/channel.hpp"
 #include "spnhbm/sim/scheduler.hpp"
@@ -21,7 +22,6 @@
 #include "spnhbm/telemetry/metrics.hpp"
 #include "spnhbm/telemetry/trace.hpp"
 #include "spnhbm/util/error.hpp"
-#include "spnhbm/util/rng.hpp"
 #include "spnhbm/util/units.hpp"
 
 namespace spnhbm::pcie {
@@ -49,15 +49,10 @@ struct DmaEngineConfig {
   /// Engine-occupying per-transfer overhead (descriptor fetch, TLP
   /// framing ramp).
   Picoseconds per_transfer_overhead = microseconds(12);
-  /// Fault injection: probability that a transfer fails with DmaError
-  /// after consuming its engine time (models link CRC errors / descriptor
-  /// aborts; deterministic in `failure_seed`). 0 disables injection.
-  double failure_rate = 0.0;
-  std::uint64_t failure_seed = 0xD0A0;
 };
 
-/// Thrown by DmaEngine::transfer on an injected transfer failure; the
-/// caller (the runtime's control thread) retries the transfer.
+/// Thrown by DmaEngine::transfer when a `pcie.dma` fault-plan rule aborts
+/// the transfer (link CRC error / descriptor abort); the driver re-queues.
 class DmaError : public Error {
  public:
   explicit DmaError(const std::string& what) : Error("DMA error: " + what) {}
@@ -67,7 +62,10 @@ DmaEngineConfig dma_config_for_generation(int generation);
 
 class DmaEngine {
  public:
-  DmaEngine(sim::Scheduler& scheduler, DmaEngineConfig config = {});
+  /// `card` names the card this engine belongs to: it is the `pcie.dma`
+  /// fault-site instance, so each card keeps its own op counter.
+  DmaEngine(sim::Scheduler& scheduler, DmaEngineConfig config = {},
+            std::string card = "dma");
 
   const DmaEngineConfig& config() const { return config_; }
 
@@ -91,7 +89,7 @@ class DmaEngine {
   sim::Scheduler& scheduler_;
   DmaEngineConfig config_;
   sim::Resource engine_;
-  Rng failure_rng_;
+  std::string card_;
   telemetry::TrackId track_ = 0;
   std::shared_ptr<telemetry::Counter> ctr_transfers_;
   std::shared_ptr<telemetry::Counter> ctr_bytes_h2d_;

@@ -1,5 +1,7 @@
 #include "spnhbm/pcie/pcie.hpp"
 
+#include <utility>
+
 #include "spnhbm/fault/fault.hpp"
 #include "spnhbm/util/log.hpp"
 
@@ -30,13 +32,12 @@ DmaEngineConfig dma_config_for_generation(int generation) {
   return config;
 }
 
-DmaEngine::DmaEngine(sim::Scheduler& scheduler, DmaEngineConfig config)
+DmaEngine::DmaEngine(sim::Scheduler& scheduler, DmaEngineConfig config,
+                     std::string card)
     : scheduler_(scheduler),
       config_(config),
       engine_(scheduler, 1),
-      failure_rng_(config.failure_seed) {
-  SPNHBM_REQUIRE(config_.failure_rate >= 0.0 && config_.failure_rate < 1.0,
-                 "failure rate must be in [0, 1)");
+      card_(std::move(card)) {
   track_ = telemetry::tracer().register_track("pcie/dma",
                                               telemetry::TraceClock::kVirtual);
   auto& registry = telemetry::metrics();
@@ -53,7 +54,7 @@ sim::Task<void> DmaEngine::transfer(std::uint64_t bytes, Direction direction) {
   // a failed transfer still burnt its descriptor slot and link time.
   fault::FaultDecision injected;
   if (fault::injector().armed()) {
-    injected = fault::injector().decide("pcie.dma", "dma");
+    injected = fault::injector().decide("pcie.dma", card_);
     if (injected.kind != fault::FaultKind::kNone) {
       // Annotate the fault onto the DMA lane at issue time: stalls show
       // up ahead of the stretched h2d/d2h span, fail/corrupt ahead of the
@@ -96,9 +97,7 @@ sim::Task<void> DmaEngine::transfer(std::uint64_t bytes, Direction direction) {
     telemetry::tracer().flow_virtual(track_, "request", 't', trace_id, start);
   }
   if (injected.kind == fault::FaultKind::kFail ||
-      injected.kind == fault::FaultKind::kCorrupt ||
-      (config_.failure_rate > 0.0 &&
-       failure_rng_.next_double() < config_.failure_rate)) {
+      injected.kind == fault::FaultKind::kCorrupt) {
     // The transfer consumed engine time but delivered a CRC/abort error;
     // the host driver must re-queue it.
     ++failed_transfers_;

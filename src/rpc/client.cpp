@@ -127,22 +127,18 @@ void RpcClient::submit_with_callback(const std::string& model,
                    PendingEntry{std::move(callback), sent.trace});
 }
 
-std::future<std::vector<double>> RpcClient::submit(
-    const std::string& model, std::vector<std::uint8_t> samples,
-    std::uint64_t deadline_us, std::uint64_t idempotency_key,
-    const QueryOptions& query) {
-  auto promise = std::make_shared<std::promise<std::vector<double>>>();
-  std::future<std::vector<double>> future = promise->get_future();
+RpcFuture RpcClient::submit(const std::string& model,
+                            std::vector<std::uint8_t> samples,
+                            std::uint64_t deadline_us,
+                            std::uint64_t idempotency_key,
+                            const QueryOptions& query) {
+  auto promise = std::make_shared<std::promise<RpcFuture::Outcome>>();
+  RpcFuture future(promise->get_future());
   submit_with_callback(
       model, std::move(samples), deadline_us,
       [promise](Status status, const std::vector<double>& results,
                 const std::string& error) {
-        if (status == Status::kOk) {
-          promise->set_value(results);
-        } else {
-          promise->set_exception(
-              std::make_exception_ptr(RpcStatusError(status, error)));
-        }
+        promise->set_value(RpcFuture::Outcome{status, error, results});
       },
       idempotency_key, query);
   return future;

@@ -12,9 +12,10 @@
 // RpcStatusError carrying the typed wire status, so callers can
 // distinguish retryable sheds (OVERLOADED, NO_HEALTHY_ENGINE) from hard
 // failures. A dropped connection fails every outstanding future with
-// RpcError.
+// INTERNAL_ERROR.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -23,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "spnhbm/rpc/socket.hpp"
@@ -95,6 +97,38 @@ struct QueryOptions {
   }
 };
 
+/// The pending response of one submit(). The reader thread hands the
+/// outcome over as a value (status, error text, results); get() builds
+/// the typed error on the thread that waits, so no exception object is
+/// shared between threads.
+class RpcFuture {
+ public:
+  struct Outcome {
+    Status status = Status::kOk;
+    std::string error;
+    std::vector<double> results;
+  };
+
+  explicit RpcFuture(std::future<Outcome> outcome)
+      : outcome_(std::move(outcome)) {}
+
+  /// One probability per sample row; throws RpcStatusError for a non-OK
+  /// response (a lost connection is INTERNAL_ERROR).
+  std::vector<double> get() {
+    Outcome outcome = outcome_.get();
+    if (outcome.status == Status::kOk) return std::move(outcome.results);
+    throw RpcStatusError(outcome.status, outcome.error);
+  }
+  template <typename Rep, typename Period>
+  std::future_status wait_for(
+      const std::chrono::duration<Rep, Period>& timeout) const {
+    return outcome_.wait_for(timeout);
+  }
+
+ private:
+  std::future<Outcome> outcome_;
+};
+
 /// Completion callback: status, results (kOk only), error text (other
 /// statuses). Invoked on the client's reader thread — keep it cheap.
 using ResponseCallback = std::function<void(
@@ -114,16 +148,15 @@ class RpcClient {
 
   /// Pipelined asynchronous request. `model` empty = the server's first
   /// advertised model. `deadline_us` 0 = no per-request deadline. The
-  /// future carries one probability per sample row, or RpcStatusError /
-  /// RpcError. A non-zero `idempotency_key` marks retries of one logical
+  /// future carries one probability per sample row, or RpcStatusError.
+  /// A non-zero `idempotency_key` marks retries of one logical
   /// request so the server can deduplicate them. Non-default `query`
   /// options select marginal/MPE inference or sparse evidence; invalid
   /// ones throw WireError before anything is sent.
-  std::future<std::vector<double>> submit(const std::string& model,
-                                          std::vector<std::uint8_t> samples,
-                                          std::uint64_t deadline_us = 0,
-                                          std::uint64_t idempotency_key = 0,
-                                          const QueryOptions& query = {});
+  RpcFuture submit(const std::string& model, std::vector<std::uint8_t> samples,
+                   std::uint64_t deadline_us = 0,
+                   std::uint64_t idempotency_key = 0,
+                   const QueryOptions& query = {});
 
   /// As submit(), but delivers the raw response via `callback` (on the
   /// reader thread) instead of a future — the open-loop load generator's
@@ -152,7 +185,7 @@ class RpcClient {
   /// fresh connection is needed.
   bool alive() const;
 
-  /// Closes the connection; outstanding futures fail with RpcError.
+  /// Closes the connection; outstanding futures fail with INTERNAL_ERROR.
   /// Idempotent; the destructor calls it.
   void close();
 

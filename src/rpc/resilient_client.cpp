@@ -217,25 +217,28 @@ std::vector<double> ResilientClient::infer(const std::string& model,
                                            std::vector<std::uint8_t> samples,
                                            std::uint64_t deadline_us,
                                            const QueryOptions& query) {
-  auto promise = std::make_shared<std::promise<std::vector<double>>>();
-  std::future<std::vector<double>> future = promise->get_future();
+  // The reader thread hands the outcome over as a value; the give-up
+  // error is built here, on the waiting thread.
+  struct Outcome : RpcFuture::Outcome {
+    GiveUpReason reason = GiveUpReason::kNone;
+    std::uint32_t attempts = 0;
+  };
+  auto promise = std::make_shared<std::promise<Outcome>>();
+  std::future<Outcome> future = promise->get_future();
   start(
       model, std::move(samples), deadline_us,
       [promise](Status status, const std::vector<double>& results,
                 const std::string& error, GiveUpReason reason,
                 std::uint32_t attempts) {
-        if (status == Status::kOk) {
-          promise->set_value(results);
-        } else {
-          if (reason == GiveUpReason::kNone) {
-            reason = GiveUpReason::kNonRetryable;
-          }
-          promise->set_exception(std::make_exception_ptr(
-              RpcGiveUpError(reason, status, attempts, error)));
-        }
+        promise->set_value(Outcome{{status, error, results}, reason, attempts});
       },
       query);
-  return future.get();
+  Outcome outcome = future.get();
+  if (outcome.status == Status::kOk) return std::move(outcome.results);
+  throw RpcGiveUpError(outcome.reason == GiveUpReason::kNone
+                           ? GiveUpReason::kNonRetryable
+                           : outcome.reason,
+                       outcome.status, outcome.attempts, outcome.error);
 }
 
 ServerInfo ResilientClient::server_info() {

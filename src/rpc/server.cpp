@@ -483,7 +483,11 @@ ResponseFrame RpcServer::resolve(Outgoing& outgoing) {
       outgoing.deadline_us <= static_cast<std::uint64_t>(headroom.count())) {
     const auto deadline =
         outgoing.received + std::chrono::microseconds(outgoing.deadline_us);
-    if (outgoing.future->wait_until(deadline) != std::future_status::ready) {
+    // A past deadline reports a ready result as ready, so a writer that
+    // reaches the request late must check the clock itself: a response
+    // that would go out after its deadline is an expired one.
+    if (outgoing.future->wait_until(deadline) != std::future_status::ready ||
+        SteadyClock::now() > deadline) {
       // The engine may still compute the batch; only the response is due.
       response.status = Status::kDeadlineExceeded;
       response.error = strformat(

@@ -2,7 +2,9 @@
 //
 // Splits an inference job into sub-jobs of `block_samples` samples and
 // drives them with `threads_per_pe` control threads per accelerator.
-// Each control thread loops:
+// Timing runs, dense batches and CSR sparse batches are all one kind of
+// job and take this one path; they differ only in whether real bytes
+// ride along. Each control thread loops:
 //
 //   1. stage the block into a pinned DMA buffer (host memcpy),
 //   2. DMA the inputs into the PE's HBM channel,
@@ -19,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "spnhbm/fpga/calibration.hpp"
@@ -31,11 +34,10 @@ namespace spnhbm::runtime {
 struct RuntimeConfig {
   std::size_t block_samples = fpga::cal::kDefaultBlockSamples;
   int threads_per_pe = 1;
-  /// Include host<->device transfers (paper Fig. 4 right) or measure
-  /// on-device computation only (Fig. 4 left).
+  /// Include host staging and host<->device transfers (paper Fig. 4
+  /// right) or measure on-device computation only (Fig. 4 left; real
+  /// bytes then move through the memory backdoor, free of charge).
   bool include_transfers = true;
-  /// Model the host-side staging copy into pinned buffers.
-  bool model_host_staging = true;
 };
 
 struct RunStats {
@@ -67,25 +69,36 @@ class InferenceRuntime {
   /// Functional end-to-end inference of real samples (row-major bytes,
   /// one row per sample): returns one result per sample (joint density,
   /// marginal, or max-product value depending on the module's query),
-  /// computed by the accelerators through the full copy/launch/readback
-  /// path.
+  /// computed by the accelerators as the same blocked job run() times.
   std::vector<double> infer(std::span<const std::uint8_t> samples);
 
   /// Functional inference over a CSR sparse-evidence stream of
   /// `sample_count` samples (see compiler/sparse_evidence.hpp for the
-  /// layout). Only the stream's bytes cross PCIe and the PE's HBM
-  /// channel — the bandwidth saving sparse queries exist for.
+  /// layout). The stream splits into blocks at sample boundaries; only
+  /// its bytes cross PCIe and the PE's HBM channel — the bandwidth
+  /// saving sparse queries exist for.
   std::vector<double> infer_sparse(std::span<const std::uint8_t> stream,
                                    std::size_t sample_count);
 
  private:
-  struct BlockCursor {
+  /// One job as the control threads share it. Input is dense rows, a CSR
+  /// stream, or neither (a timing run of samples x features bytes);
+  /// `results` receives one value per sample when set.
+  struct Job {
+    std::uint64_t samples = 0;
+    std::span<const std::uint8_t> dense = {};
+    std::span<const std::uint8_t> stream = {};
+    std::span<double> results = {};
+    /// Input offset where each block starts, plus the input's end. Sparse
+    /// jobs set it (blocks end at sample boundaries); execute() fills it
+    /// for dense ones.
+    std::vector<std::uint64_t> block_offsets = {};
+    std::uint64_t max_block_bytes = 0;
     std::uint64_t next_block = 0;
-    std::uint64_t block_count = 0;
-    std::uint64_t total_samples = 0;
   };
 
-  sim::Process control_thread(std::size_t pe_index, BlockCursor& cursor,
+  RunStats execute(Job job);
+  sim::Process control_thread(std::size_t pe_index, Job& job,
                               sim::Resource& pe_lock,
                               telemetry::TrackId track);
 
@@ -101,6 +114,8 @@ class InferenceRuntime {
   /// Inputs are checked against it on the host, before any bytes move,
   /// so a bad byte never fails inside the simulated device.
   std::vector<std::size_t> byte_domain_;
+  /// One virtual-clock trace track per control thread, PE-major.
+  std::vector<telemetry::TrackId> tracks_;
 };
 
 }  // namespace spnhbm::runtime

@@ -1,10 +1,9 @@
 #include "spnhbm/runtime/inference_runtime.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/util/strings.hpp"
@@ -55,50 +54,65 @@ InferenceRuntime::InferenceRuntime(sim::ProcessRunner& runner,
         device_.query_config(pe, fpga::ConfigQuery::kInputFeatures);
     SPNHBM_REQUIRE(features == module_.input_features(),
                    "PE configuration does not match the compiled module");
+    for (int t = 0; t < config_.threads_per_pe; ++t) {
+      tracks_.push_back(telemetry::tracer().register_track(
+          "runtime/pe" + std::to_string(pe) + ".t" + std::to_string(t),
+          telemetry::TraceClock::kVirtual));
+    }
   }
 }
 
-sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
-                                              BlockCursor& cursor,
+sim::Process InferenceRuntime::control_thread(std::size_t pe_index, Job& job,
                                               sim::Resource& pe_lock,
                                               telemetry::TrackId track) {
   auto& scheduler = runner_.scheduler();
-  const std::uint64_t features = module_.input_features();
+  auto& tracer = telemetry::tracer();
   constexpr std::uint64_t kResultBytes = 8;
+  const bool sparse = !job.stream.empty();
+  const std::span<const std::uint8_t> input = sparse ? job.stream : job.dense;
+  const auto staging_time = [](std::uint64_t bytes) {
+    return static_cast<Picoseconds>(
+        static_cast<double>(bytes) / fpga::cal::kHostStagingBytesPerSecond *
+        static_cast<double>(kPicosecondsPerSecond));
+  };
 
-  // Per-thread device buffers sized for a full block (double buffering
-  // happens across threads; each thread owns one in/out pair).
-  const std::uint64_t max_in = config_.block_samples * features;
-  const std::uint64_t max_out = config_.block_samples * kResultBytes;
-  const DeviceBuffer input_buffer(memory_, pe_index, max_in);
-  const DeviceBuffer output_buffer(memory_, pe_index, max_out);
+  // Per-thread device buffers sized for the job's largest block (double
+  // buffering happens across threads; each thread owns one in/out pair).
+  const DeviceBuffer input_buffer(memory_, pe_index, job.max_block_bytes);
+  const DeviceBuffer output_buffer(
+      memory_, pe_index,
+      std::min<std::uint64_t>(config_.block_samples, job.samples) *
+          kResultBytes);
+  hbm::HbmChannel* const backdoor = device_.backing_channel(pe_index);
 
-  for (;;) {
-    if (cursor.next_block >= cursor.block_count) break;
-    const std::uint64_t block = cursor.next_block++;
+  while (job.next_block + 1 < job.block_offsets.size()) {
+    const std::uint64_t block = job.next_block++;
     const std::uint64_t begin = block * config_.block_samples;
-    const std::uint64_t samples = std::min<std::uint64_t>(
-        config_.block_samples, cursor.total_samples - begin);
-    const std::uint64_t in_bytes = samples * features;
+    const std::uint64_t samples =
+        std::min<std::uint64_t>(config_.block_samples, job.samples - begin);
+    const std::uint64_t in_first = job.block_offsets[block];
+    const std::uint64_t in_bytes = job.block_offsets[block + 1] - in_first;
     const std::uint64_t out_bytes = samples * kResultBytes;
+    const auto in_data =
+        input.empty() ? input : input.subspan(in_first, in_bytes);
+    std::span<std::uint8_t> out_data;
+    if (!job.results.empty()) {
+      out_data = {reinterpret_cast<std::uint8_t*>(&job.results[begin]),
+                  out_bytes};
+    }
 
-    auto& tracer = telemetry::tracer();
     if (config_.include_transfers) {
-      if (config_.model_host_staging) {
-        // Host memcpy into the pinned DMA buffer.
-        const Picoseconds span_start = scheduler.now();
-        co_await sim::delay(
-            scheduler, static_cast<Picoseconds>(
-                           static_cast<double>(in_bytes) /
-                           fpga::cal::kHostStagingBytesPerSecond *
-                           static_cast<double>(kPicosecondsPerSecond)));
-        tracer.complete_virtual(track, "stage_in", span_start,
-                                scheduler.now());
-      }
+      // Host memcpy into the pinned DMA buffer.
+      const Picoseconds stage_start = scheduler.now();
+      co_await sim::delay(scheduler, staging_time(in_bytes));
+      tracer.complete_virtual(track, "stage_in", stage_start, scheduler.now());
       const Picoseconds span_start = scheduler.now();
-      co_await device_.copy_to_device_timed(pe_index, input_buffer.address(),
-                                            in_bytes);
+      co_await device_.copy_to_device(pe_index, input_buffer.address(),
+                                      in_bytes, in_data);
       tracer.complete_virtual(track, "h2d", span_start, scheduler.now());
+    } else if (!in_data.empty()) {
+      backdoor->write_backdoor(
+          device_.channel_address(pe_index, input_buffer.address()), in_data);
     }
 
     // The PE runs one job at a time; with >1 control threads the launch
@@ -106,8 +120,9 @@ sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
     co_await pe_lock.acquire();
     const Picoseconds compute_start = scheduler.now();
     try {
-      co_await device_.launch_inference(pe_index, input_buffer.address(),
-                                        output_buffer.address(), samples);
+      co_await device_.launch(pe_index, input_buffer.address(),
+                              output_buffer.address(), samples,
+                              sparse ? in_bytes : 0);
     } catch (...) {
       pe_lock.release();
       throw;
@@ -117,46 +132,52 @@ sim::Process InferenceRuntime::control_thread(std::size_t pe_index,
 
     if (config_.include_transfers) {
       const Picoseconds span_start = scheduler.now();
-      co_await device_.copy_from_device_timed(
-          pe_index, output_buffer.address(), out_bytes);
+      co_await device_.copy_from_device(pe_index, output_buffer.address(),
+                                        out_bytes, out_data);
       tracer.complete_virtual(track, "d2h", span_start, scheduler.now());
-      if (config_.model_host_staging) {
-        const Picoseconds unstage_start = scheduler.now();
-        co_await sim::delay(
-            scheduler, static_cast<Picoseconds>(
-                           static_cast<double>(out_bytes) /
-                           fpga::cal::kHostStagingBytesPerSecond *
-                           static_cast<double>(kPicosecondsPerSecond)));
-        tracer.complete_virtual(track, "stage_out", unstage_start,
-                                scheduler.now());
-      }
+      const Picoseconds unstage_start = scheduler.now();
+      co_await sim::delay(scheduler, staging_time(out_bytes));
+      tracer.complete_virtual(track, "stage_out", unstage_start,
+                              scheduler.now());
+    } else if (!out_data.empty()) {
+      backdoor->read_backdoor(
+          device_.channel_address(pe_index, output_buffer.address()),
+          out_data);
     }
   }
 }
 
-RunStats InferenceRuntime::run(std::uint64_t total_samples) {
-  SPNHBM_REQUIRE(total_samples > 0, "nothing to run");
+RunStats InferenceRuntime::execute(Job job) {
   auto& scheduler = runner_.scheduler();
   const Picoseconds start = scheduler.now();
   const std::uint64_t dma_busy_before = device_.dma().busy_time();
   const std::uint64_t dma_bytes_before =
       device_.dma().bytes_to_device() + device_.dma().bytes_to_host();
 
-  BlockCursor cursor;
-  cursor.total_samples = total_samples;
-  cursor.block_count =
-      (total_samples + config_.block_samples - 1) / config_.block_samples;
-
+  if (job.block_offsets.empty()) {  // dense rows, or a timing run of them
+    const std::uint64_t features = module_.input_features();
+    for (std::uint64_t first = 0; first < job.samples;
+         first += config_.block_samples) {
+      job.block_offsets.push_back(first * features);
+    }
+    job.block_offsets.push_back(job.samples * features);
+  }
+  const std::uint64_t block_count = job.block_offsets.size() - 1;
+  for (std::uint64_t block = 0; block < block_count; ++block) {
+    job.max_block_bytes =
+        std::max(job.max_block_bytes,
+                 job.block_offsets[block + 1] - job.block_offsets[block]);
+  }
   std::vector<std::unique_ptr<sim::Resource>> pe_locks;
   std::vector<sim::Process> threads;
   for (std::size_t pe = 0; pe < device_.pe_count(); ++pe) {
     pe_locks.push_back(std::make_unique<sim::Resource>(scheduler, 1));
     for (int t = 0; t < config_.threads_per_pe; ++t) {
-      const telemetry::TrackId track = telemetry::tracer().register_track(
-          "runtime/pe" + std::to_string(pe) + ".t" + std::to_string(t),
-          telemetry::TraceClock::kVirtual);
+      const telemetry::TrackId track =
+          tracks_[pe * static_cast<std::size_t>(config_.threads_per_pe) +
+                  static_cast<std::size_t>(t)];
       threads.push_back(
-          runner_.spawn(control_thread(pe, cursor, *pe_locks.back(), track)));
+          runner_.spawn(control_thread(pe, job, *pe_locks.back(), track)));
     }
   }
   scheduler.run();
@@ -166,11 +187,11 @@ RunStats InferenceRuntime::run(std::uint64_t total_samples) {
   }
 
   RunStats stats;
-  stats.samples = total_samples;
+  stats.samples = job.samples;
   stats.elapsed = scheduler.now() - start;
   stats.samples_per_second =
-      static_cast<double>(total_samples) / to_seconds(stats.elapsed);
-  stats.blocks = cursor.block_count;
+      static_cast<double>(job.samples) / to_seconds(stats.elapsed);
+  stats.blocks = block_count;
   stats.dma_utilisation =
       stats.elapsed > 0
           ? static_cast<double>(device_.dma().busy_time() - dma_busy_before) /
@@ -179,6 +200,11 @@ RunStats InferenceRuntime::run(std::uint64_t total_samples) {
   stats.dma_bytes = device_.dma().bytes_to_device() +
                     device_.dma().bytes_to_host() - dma_bytes_before;
   return stats;
+}
+
+RunStats InferenceRuntime::run(std::uint64_t total_samples) {
+  SPNHBM_REQUIRE(total_samples > 0, "nothing to run");
+  return execute({.samples = total_samples});
 }
 
 void InferenceRuntime::check_byte(std::uint8_t byte,
@@ -200,27 +226,8 @@ std::vector<double> InferenceRuntime::infer(
     for (std::size_t f = 0; f < features; ++f) check_byte(samples[i + f], f);
   }
 
-  auto& scheduler = runner_.scheduler();
-  const DeviceBuffer input_buffer(memory_, 0, samples.size());
-  const DeviceBuffer output_buffer(memory_, 0, count * 8);
-  std::vector<std::uint8_t> raw_results(count * 8);
-
-  sim::Process job = runner_.spawn([&]() -> sim::Process {
-    co_await device_.copy_to_device(0, input_buffer.address(), samples);
-    co_await device_.launch_inference(0, input_buffer.address(),
-                                      output_buffer.address(), count);
-    co_await device_.copy_from_device(0, output_buffer.address(), raw_results);
-  });
-  scheduler.run();
-  runner_.check();
-  SPNHBM_REQUIRE(job.done(), "inference job did not finish");
-
   std::vector<double> results(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, raw_results.data() + i * 8, 8);
-    results[i] = std::bit_cast<double>(bits);
-  }
+  execute({.samples = count, .dense = samples, .results = results});
   return results;
 }
 
@@ -240,28 +247,17 @@ std::vector<double> InferenceRuntime::infer_sparse(
     check_byte(module_.default_evidence()[f], f);
   }
 
-  auto& scheduler = runner_.scheduler();
-  const DeviceBuffer input_buffer(memory_, 0, stream.size());
-  const DeviceBuffer output_buffer(memory_, 0, sample_count * 8);
-  std::vector<std::uint8_t> raw_results(sample_count * 8);
-
-  sim::Process job = runner_.spawn([&]() -> sim::Process {
-    co_await device_.copy_to_device(0, input_buffer.address(), stream);
-    co_await device_.launch_inference_sparse(
-        0, input_buffer.address(), output_buffer.address(), sample_count,
-        stream.size());
-    co_await device_.copy_from_device(0, output_buffer.address(), raw_results);
-  });
-  scheduler.run();
-  runner_.check();
-  SPNHBM_REQUIRE(job.done(), "inference job did not finish");
-
   std::vector<double> results(sample_count);
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, raw_results.data() + i * 8, 8);
-    results[i] = std::bit_cast<double>(bits);
+  // Split at sample boundaries: sample i starts 2 bytes per earlier
+  // sample plus 3 per earlier active index into the stream.
+  std::vector<std::uint64_t> block_offsets;
+  for (std::size_t first = 0; first < sample_count;
+       first += config_.block_samples) {
+    block_offsets.push_back(2 * first + 3 * batch.offsets[first]);
   }
+  block_offsets.push_back(stream.size());
+  execute({.samples = sample_count, .stream = stream, .results = results,
+           .block_offsets = std::move(block_offsets)});
   return results;
 }
 

@@ -70,14 +70,6 @@ class Process {
   bool done() const { return !state_ || state_->done; }
   bool failed() const { return state_ && state_->exception != nullptr; }
 
-  /// Rethrows the process' stored exception, if any (marks it consumed).
-  void rethrow_if_failed() const {
-    if (state_ && state_->exception) {
-      state_->exception_consumed = true;
-      std::rethrow_exception(state_->exception);
-    }
-  }
-
   /// Awaitable that resumes the awaiting process once this one finishes;
   /// rethrows this process' exception into the awaiter.
   struct JoinAwaitable {

@@ -1,6 +1,7 @@
 #include "spnhbm/tapasco/device.hpp"
 
 #include <string>
+#include <utility>
 
 #include "spnhbm/fault/fault.hpp"
 
@@ -8,7 +9,8 @@ namespace spnhbm::tapasco {
 
 Device::Device(sim::ProcessRunner& runner,
                const compiler::DatapathModule& module,
-               const arith::ArithBackend& backend, CompositionConfig config)
+               const arith::ArithBackend& backend, CompositionConfig config,
+               std::string card)
     : runner_(runner), config_(config) {
   // Typed front-door validation: the autotuner probes the edges of this
   // space on purpose, so out-of-range knobs must be catchable rejections,
@@ -32,13 +34,13 @@ Device::Device(sim::ProcessRunner& runner,
   auto& scheduler = runner.scheduler();
   pcie::DmaEngineConfig dma_config =
       pcie::dma_config_for_generation(config_.pcie_generation);
-  dma_config.failure_rate = config_.dma_failure_rate;
   if (config_.platform == fpga::Platform::kF1) {
     // AWS EDMA class engine: slower streaming rate than XDMA.
     dma_config.engine_bandwidth =
         Bandwidth::gbit_per_second(fpga::cal::kF1DmaGbps);
   }
-  dma_ = std::make_unique<pcie::DmaEngine>(scheduler, dma_config);
+  dma_ = std::make_unique<pcie::DmaEngine>(scheduler, dma_config,
+                                           std::move(card));
 
   fpga::AcceleratorConfig accel_config;
   accel_config.compute_results = config_.compute_results;
@@ -136,6 +138,7 @@ sim::Task<void> Device::dma_and_channel(std::size_t pe_index,
   // transfers (injected faults) are re-queued by this driver layer, up to
   // a bounded retry budget.
   constexpr int kMaxDmaAttempts = 8;
+  SPNHBM_REQUIRE(pe_index < accelerators_.size(), "PE index out of range");
   auto& accel_port =
       hbm_ ? hbm_->channel(channel_of(pe_index)).port()
            : ddr_channels_[pe_index % ddr_channels_.size()]->port();
@@ -170,62 +173,35 @@ sim::Task<void> Device::dma_and_channel(std::size_t pe_index,
 
 sim::Task<void> Device::copy_to_device(std::size_t pe_index,
                                        std::uint64_t address,
+                                       std::uint64_t bytes,
                                        std::span<const std::uint8_t> data) {
-  SPNHBM_REQUIRE(pe_index < accelerators_.size(), "PE index out of range");
+  SPNHBM_REQUIRE(data.empty() || data.size() == bytes,
+                 "copy data does not match the byte count");
   const std::uint64_t device_address = channel_address(pe_index, address);
-  co_await dma_and_channel(pe_index, device_address, data.size(), true);
-  if (hbm_) {
+  co_await dma_and_channel(pe_index, device_address, bytes, true);
+  if (hbm_ && !data.empty()) {
     hbm_->channel(channel_of(pe_index)).write_backdoor(device_address, data);
   }
 }
 
 sim::Task<void> Device::copy_from_device(std::size_t pe_index,
                                          std::uint64_t address,
+                                         std::uint64_t bytes,
                                          std::span<std::uint8_t> out) {
-  SPNHBM_REQUIRE(pe_index < accelerators_.size(), "PE index out of range");
+  SPNHBM_REQUIRE(out.empty() || out.size() == bytes,
+                 "copy buffer does not match the byte count");
   const std::uint64_t device_address = channel_address(pe_index, address);
-  co_await dma_and_channel(pe_index, device_address, out.size(), false);
-  if (hbm_) {
+  co_await dma_and_channel(pe_index, device_address, bytes, false);
+  if (hbm_ && !out.empty()) {
     hbm_->channel(channel_of(pe_index)).read_backdoor(device_address, out);
   }
 }
 
-sim::Task<void> Device::copy_to_device_timed(std::size_t pe_index,
-                                             std::uint64_t address,
-                                             std::uint64_t bytes) {
-  co_await dma_and_channel(pe_index, channel_address(pe_index, address),
-                           bytes, true);
-}
-
-sim::Task<void> Device::copy_from_device_timed(std::size_t pe_index,
-                                               std::uint64_t address,
-                                               std::uint64_t bytes) {
-  co_await dma_and_channel(pe_index, channel_address(pe_index, address),
-                           bytes, false);
-}
-
-sim::Task<void> Device::launch_inference(std::size_t pe_index,
-                                         std::uint64_t input_address,
-                                         std::uint64_t output_address,
-                                         std::uint64_t samples) {
-  co_await launch_job(pe_index, input_address, output_address, samples, 0);
-}
-
-sim::Task<void> Device::launch_inference_sparse(std::size_t pe_index,
-                                                std::uint64_t input_address,
-                                                std::uint64_t output_address,
-                                                std::uint64_t samples,
-                                                std::uint64_t input_bytes) {
-  SPNHBM_REQUIRE(input_bytes > 0, "sparse job needs a non-empty stream");
-  co_await launch_job(pe_index, input_address, output_address, samples,
-                      input_bytes);
-}
-
-sim::Task<void> Device::launch_job(std::size_t pe_index,
-                                   std::uint64_t input_address,
-                                   std::uint64_t output_address,
-                                   std::uint64_t samples,
-                                   std::uint64_t input_bytes) {
+sim::Task<void> Device::launch(std::size_t pe_index,
+                               std::uint64_t input_address,
+                               std::uint64_t output_address,
+                               std::uint64_t samples,
+                               std::uint64_t input_bytes) {
   auto& scheduler = runner_.scheduler();
   fpga::SpnAccelerator& accelerator = pe(pe_index);
   if (fault::injector().armed()) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "spnhbm/axi/smart_connect.hpp"
@@ -52,16 +53,15 @@ struct CompositionConfig {
   /// Skip the placement feasibility check (used by what-if scaling
   /// studies that deliberately exceed the device, e.g. paper Fig. 5).
   bool skip_placement_check = false;
-  /// DMA fault-injection probability per transfer (tests/chaos runs);
-  /// failed transfers are transparently re-queued by the device driver.
-  double dma_failure_rate = 0.0;
 };
 
 class Device {
  public:
   /// Composes the design; throws PlacementError if it does not fit.
+  /// `card` names the card for the `pcie.dma` fault site (see DmaEngine).
   Device(sim::ProcessRunner& runner, const compiler::DatapathModule& module,
-         const arith::ArithBackend& backend, CompositionConfig config);
+         const arith::ArithBackend& backend, CompositionConfig config,
+         std::string card = "dma");
 
   std::size_t pe_count() const { return accelerators_.size(); }
   fpga::SpnAccelerator& pe(std::size_t index);
@@ -72,59 +72,44 @@ class Device {
   /// this work's platform, the shared DDR on F1).
   std::uint64_t memory_capacity_per_pe() const;
 
-  /// Copies host data into PE-local device memory: occupies the DMA engine
-  /// and the target memory channel concurrently (the transfer streams
-  /// through both), then deposits the bytes in the backing store.
+  /// Moves `bytes` from the host into PE-local device memory: occupies
+  /// the DMA engine and the target memory channel concurrently (the
+  /// transfer streams through both), then deposits `data` (when given,
+  /// exactly `bytes` long) in the backing store. Without `data` the copy
+  /// is timing-only.
   sim::Task<void> copy_to_device(std::size_t pe_index, std::uint64_t address,
-                                 std::span<const std::uint8_t> data);
+                                 std::uint64_t bytes,
+                                 std::span<const std::uint8_t> data = {});
 
-  /// Copies results back to the host.
+  /// Moves `bytes` of results back to the host, into `out` when given.
   sim::Task<void> copy_from_device(std::size_t pe_index, std::uint64_t address,
-                                   std::span<std::uint8_t> out);
-
-  /// Timing-only variants (no host buffer; used by sweeps with
-  /// compute_results disabled).
-  sim::Task<void> copy_to_device_timed(std::size_t pe_index,
-                                       std::uint64_t address,
-                                       std::uint64_t bytes);
-  sim::Task<void> copy_from_device_timed(std::size_t pe_index,
-                                         std::uint64_t address,
-                                         std::uint64_t bytes);
+                                   std::uint64_t bytes,
+                                   std::span<std::uint8_t> out = {});
 
   /// TaPaSCo-style job: set registers, start, wait for completion.
-  /// Includes the AXI4-Lite launch + interrupt overhead.
-  sim::Task<void> launch_inference(std::size_t pe_index,
-                                   std::uint64_t input_address,
-                                   std::uint64_t output_address,
-                                   std::uint64_t samples);
-
-  /// Sparse-evidence job: the input region holds a CSR evidence stream of
-  /// `input_bytes` total (not samples x features dense rows). The PE's
-  /// load unit bursts exactly those bytes from its channel.
-  sim::Task<void> launch_inference_sparse(std::size_t pe_index,
-                                          std::uint64_t input_address,
-                                          std::uint64_t output_address,
-                                          std::uint64_t samples,
-                                          std::uint64_t input_bytes);
+  /// Includes the AXI4-Lite launch + interrupt overhead. A non-zero
+  /// `input_bytes` marks a sparse-evidence job: the input region holds a
+  /// CSR evidence stream of that many bytes (not samples x features
+  /// dense rows), and the PE's load unit bursts exactly those bytes.
+  sim::Task<void> launch(std::size_t pe_index, std::uint64_t input_address,
+                         std::uint64_t output_address, std::uint64_t samples,
+                         std::uint64_t input_bytes = 0);
 
   /// Configuration read-out via the PE's second execution mode.
   std::uint64_t query_config(std::size_t pe_index, fpga::ConfigQuery query);
 
   /// The backing channel of a PE (HBM platform only; nullptr on F1).
   hbm::HbmChannel* backing_channel(std::size_t pe_index);
+  /// Translates a PE-relative device address into the PE's slice of its
+  /// (possibly shared) backing channel.
+  std::uint64_t channel_address(std::size_t pe_index,
+                                std::uint64_t address) const;
 
  private:
   /// Channel backing PE `pe_index` under the configured packing.
   std::size_t channel_of(std::size_t pe_index) const;
-  /// Translates a PE-relative device address into the PE's slice of its
-  /// (possibly shared) channel.
-  std::uint64_t channel_address(std::size_t pe_index,
-                                std::uint64_t address) const;
   sim::Task<void> dma_and_channel(std::size_t pe_index, std::uint64_t address,
                                   std::uint64_t bytes, bool to_device);
-  sim::Task<void> launch_job(std::size_t pe_index, std::uint64_t input_address,
-                             std::uint64_t output_address,
-                             std::uint64_t samples, std::uint64_t input_bytes);
 
   sim::ProcessRunner& runner_;
   CompositionConfig config_;

@@ -93,18 +93,19 @@ CandidateScore score_candidate(const model::ModelHandle& model,
     ec.block_samples = config.block_samples;
     ec.hbm_pes_per_channel = config.hbm_pes_per_channel;
     ec.hbm_crossbar = config.hbm_crossbar;
-    // Timing-only compositions are much cheaper to replay; sparse streams
-    // need the functional path (infer_sparse evaluates for real).
-    const bool any_sparse = spec.sparse_fraction > 0.0;
-    ec.compute_results = any_sparse;
+    // Timing-only compositions are much cheaper to replay. Sparse jobs
+    // need no evaluation either: their timing depends only on the
+    // stream's byte counts, which the job moves all the same.
+    ec.compute_results = false;
     engine::FpgaSimEngine engine(model, ec);
     auto& runtime = engine.runtime();
     const std::size_t features = model->input_features();
 
-    // Service-time oracles, all in virtual microseconds. Dense batches
-    // ride the block-pipelined timing path and are memoised per size (the
-    // simulated card is stateless between runs, so the time is a pure
-    // function of the batch size).
+    // Service-time oracles, all in virtual microseconds, both on the
+    // runtime's one block-pipelined job path that served batches take.
+    // Dense batches are memoised per size (the simulated card is
+    // stateless between runs, so the time is a pure function of the
+    // batch size).
     std::map<std::size_t, double> dense_service;
     auto dense_service_us = [&](std::size_t samples) {
       auto it = dense_service.find(samples);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "spnhbm/compiler/sparse_evidence.hpp"
 #include "spnhbm/engine/cpu_engine.hpp"
 #include "spnhbm/engine/fpga_engine.hpp"
 #include "spnhbm/engine/gpu_engine.hpp"
@@ -156,6 +157,47 @@ TEST(FpgaSimEngine, ThroughputMatchesDirectRuntimePath) {
   const double direct = rt.run(1'000'000).samples_per_second;
 
   EXPECT_DOUBLE_EQ(via_engine, direct);
+}
+
+TEST(FpgaSimEngine, ServedBatchesTakeTheTimedBlockPath) {
+  // A served batch runs the same blocked, all-PE job that run() times (and
+  // the autotuner scores): its virtual time matches run() for the same
+  // sample count to the picosecond, and its results are the datapath's.
+  const auto model = workload::make_nips_model(10);
+  const auto artifact = model::ModelArtifact::compile(
+      "m", "1", model.spn, arith::make_cfp_backend(arith::paper_cfp_format()));
+  const auto& module = artifact->module();
+  engine::FpgaEngineConfig config;
+  config.pe_count = 8;
+  config.block_samples = 8192;
+  engine::FpgaSimEngine eng(artifact, config);
+
+  constexpr std::size_t kSamples = 65536;  // 8 blocks, one per PE
+  const auto samples = make_documents(10, kSamples, 77);
+  std::vector<double> results(kSamples);
+  const Picoseconds before = eng.virtual_now();
+  eng.wait(eng.submit(samples, results));
+  const Picoseconds served = eng.virtual_now() - before;
+  EXPECT_EQ(served, eng.runtime().run(kSamples).elapsed);
+
+  const auto row = [&](std::size_t i) {
+    return std::span<const std::uint8_t>(samples).subspan(i * 10, 10);
+  };
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    ASSERT_EQ(results[i], module.evaluate(artifact->backend(), row(i)))
+        << "sample " << i;
+  }
+
+  // A sparse batch splits at sample boundaries across three blocks.
+  constexpr std::size_t kSparse = 20000;
+  const auto dense = std::span<const std::uint8_t>(samples).first(kSparse * 10);
+  const auto stream = compiler::encode_sparse(
+      compiler::sparse_from_dense(dense, 10, module.default_evidence()));
+  const auto sparse_results = eng.infer_sparse(stream, kSparse);
+  ASSERT_EQ(sparse_results.size(), kSparse);
+  for (std::size_t i = 0; i < kSparse; ++i) {
+    ASSERT_EQ(sparse_results[i], results[i]) << "sample " << i;
+  }
 }
 
 TEST(FpgaSimEngine, TimingOnlyConfigurationRejectsFunctionalBatches) {

@@ -3,9 +3,11 @@
 // arithmetic formats, plus fault-injection ("chaos") runs on the DMA path.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "spnhbm/compiler/serialize.hpp"
+#include "spnhbm/fault/fault.hpp"
 #include "spnhbm/runtime/inference_runtime.hpp"
 #include "spnhbm/spn/evaluate.hpp"
 #include "spnhbm/spn/text_format.hpp"
@@ -103,6 +105,18 @@ INSTANTIATE_TEST_SUITE_P(
              arith::format_kind_name(info.param.format);
     });
 
+/// A plan under which each DMA transfer aborts with `probability` (a
+/// `pcie.dma` fail rule); the device driver re-queues aborted transfers.
+fault::FaultPlan dma_abort_plan(double probability) {
+  fault::FaultRule rule;
+  rule.site = "pcie.dma";
+  rule.kind = fault::FaultKind::kFail;
+  rule.probability = probability;
+  fault::FaultPlan plan;
+  plan.rules.push_back(rule);
+  return plan;
+}
+
 TEST(FaultInjection, RuntimeSurvivesDmaFaults) {
   // 5% of DMA transfers abort; the driver's retry path must deliver the
   // same results, just later.
@@ -112,9 +126,8 @@ TEST(FaultInjection, RuntimeSurvivesDmaFaults) {
 
   sim::Scheduler scheduler;
   sim::ProcessRunner runner(scheduler);
-  tapasco::CompositionConfig composition;
-  composition.dma_failure_rate = 0.05;
-  tapasco::Device device(runner, module, *backend, composition);
+  const fault::ScopedFaultPlan armed(dma_abort_plan(0.05));
+  tapasco::Device device(runner, module, *backend, {});
   runtime::InferenceRuntime rt(runner, device, module);
 
   Rng rng(7);
@@ -144,7 +157,11 @@ TEST(FaultInjection, FaultsCostThroughputButNotCorrectness) {
     tapasco::CompositionConfig composition;
     composition.pe_count = 4;
     composition.compute_results = false;
-    composition.dma_failure_rate = failure_rate;
+    std::unique_ptr<fault::ScopedFaultPlan> armed;
+    if (failure_rate > 0.0) {
+      armed = std::make_unique<fault::ScopedFaultPlan>(
+          dma_abort_plan(failure_rate));
+    }
     tapasco::Device device(runner, module, *backend, composition);
     runtime::InferenceRuntime rt(runner, device, module);
     const auto stats = rt.run(4'000'000);
@@ -167,7 +184,8 @@ TEST(FaultInjection, PersistentFailureSurfacesAfterRetries) {
   sim::ProcessRunner runner(scheduler);
   tapasco::CompositionConfig composition;
   composition.compute_results = false;
-  composition.dma_failure_rate = 0.98;  // practically always failing
+  // Practically always failing.
+  const fault::ScopedFaultPlan armed(dma_abort_plan(0.98));
   tapasco::Device device(runner, module, *backend, composition);
   runtime::InferenceRuntime rt(runner, device, module);
   EXPECT_THROW(rt.run(1 << 20), pcie::DmaError);

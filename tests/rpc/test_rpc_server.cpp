@@ -102,7 +102,7 @@ TEST(RpcServer, ConcurrentClientsGetTheirOwnResults) {
     threads.emplace_back([&, c] {
       const auto client = harness.connect();
       std::vector<std::vector<std::uint8_t>> requests;
-      std::vector<std::future<std::vector<double>>> futures;
+      std::vector<RpcFuture> futures;
       for (std::size_t r = 0; r < kRequestsPerClient; ++r) {
         // Distinct rows per (client, request): a response routed to the
         // wrong request or connection changes the checksum.
@@ -262,6 +262,50 @@ TEST(RpcServer, DeadlinesBeyondTheClockNeverExpire) {
   const RpcServerStats stats = harness.front->stats();
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.deadline_exceeded, 0u);
+}
+
+TEST(RpcServer, ResponsesWrittenAfterTheirDeadlineAreExpired) {
+  // The writer answers in request order, so a request that completed in
+  // time can still reach the wire late, queued behind a wedged request on
+  // the same connection. Its response would go out after its deadline:
+  // it must be DEADLINE_EXCEEDED, not OK.
+  MockEngine::Config mock_config;
+  mock_config.gated = true;
+  Harness harness(mock_config);
+  auto quick = std::make_shared<MockEngine>();
+  spn::RandomSpnConfig quick_model;
+  quick_model.variables = kFeatures;
+  quick->activate(model::ModelArtifact::compile(
+      "quick", "1", spn::make_random_spn(quick_model),
+      arith::make_float64_backend()));
+  harness.server->register_engine(quick);
+  const auto client = harness.connect();
+
+  auto wedged = client->submit("mock@1", make_request(1, 40));
+  while (harness.server->outstanding_samples() == 0) {
+    std::this_thread::yield();
+  }
+  const auto sent = std::chrono::steady_clock::now();
+  const auto late_request = make_request(1, 41);
+  auto late = client->submit("quick@1", late_request, /*deadline_us=*/100'000);
+  // The quick lane completes the request (the only completion so far)...
+  while (harness.server->stats().request_latency_us.count == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now() - sent, std::chrono::seconds(5));
+    std::this_thread::yield();
+  }
+  // ...but the writer reaches it only after its deadline has passed.
+  std::this_thread::sleep_until(sent + std::chrono::milliseconds(150));
+  harness.mock->release();
+  expect_encoded(make_request(1, 40), wedged.get());
+  try {
+    late.get();
+    FAIL() << "expected kDeadlineExceeded";
+  } catch (const RpcStatusError& e) {
+    EXPECT_EQ(e.status(), Status::kDeadlineExceeded);
+  }
+  const RpcServerStats stats = harness.front->stats();
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_TRUE(stats.conserved()) << stats.describe();
 }
 
 /// Raw ADMIN poll over a fresh socket: consume the server's HELLO, send

@@ -75,8 +75,8 @@ TEST(Device, CopyRoundTripThroughDma) {
   }
   std::vector<std::uint8_t> readback(data.size());
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.copy_to_device(0, 4096, data);
-    co_await device.copy_from_device(0, 4096, readback);
+    co_await device.copy_to_device(0, 4096, data.size(), data);
+    co_await device.copy_from_device(0, 4096, readback.size(), readback);
   });
   h.scheduler.run();
   h.runner.check();
@@ -92,7 +92,7 @@ TEST(Device, LaunchInferencePaysLaunchOverhead) {
   config.compute_results = false;
   Device device(h.runner, h.module, *h.backend, config);
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.launch_inference(0, 0, 16 * kMiB, 1000);
+    co_await device.launch(0, 0, 16 * kMiB, 1000);
   });
   h.scheduler.run();
   h.runner.check();
@@ -142,8 +142,8 @@ TEST(DeviceFaults, WriteSideEccErrorIsHealedByDriverRetry) {
   }
   std::vector<std::uint8_t> readback(data.size());
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.copy_to_device(0, 8192, data);
-    co_await device.copy_from_device(0, 8192, readback);
+    co_await device.copy_to_device(0, 8192, data.size(), data);
+    co_await device.copy_from_device(0, 8192, readback.size(), readback);
   });
   h.scheduler.run();
   h.runner.check();
@@ -172,7 +172,7 @@ TEST(DeviceFaults, ReadSideEccErrorPropagatesToTheHost) {
 
   std::vector<std::uint8_t> out(4096);
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.copy_from_device(0, 8192, out);
+    co_await device.copy_from_device(0, 8192, out.size(), out);
   });
   h.scheduler.run();
   EXPECT_THROW(h.runner.check(), hbm::HbmEccError);
@@ -196,8 +196,8 @@ TEST(DeviceFaults, TransientDmaFaultIsRetriedToCompletion) {
   std::vector<std::uint8_t> data(2048, 0x5A);
   std::vector<std::uint8_t> readback(data.size());
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.copy_to_device(0, 0, data);
-    co_await device.copy_from_device(0, 0, readback);
+    co_await device.copy_to_device(0, 0, data.size(), data);
+    co_await device.copy_from_device(0, 0, readback.size(), readback);
   });
   h.scheduler.run();
   h.runner.check();
@@ -222,7 +222,7 @@ TEST(DeviceFaults, PersistentDmaFaultExhaustsTheRetryBudget) {
 
   std::vector<std::uint8_t> data(1024, 1);
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.copy_to_device(0, 0, data);
+    co_await device.copy_to_device(0, 0, data.size(), data);
   });
   h.scheduler.run();
   EXPECT_THROW(h.runner.check(), pcie::DmaError);
@@ -248,14 +248,14 @@ TEST(DeviceFaults, PeLaunchFaultRejectsTheJobThenRecovers) {
   fault::ScopedFaultPlan armed(plan);
 
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.launch_inference(0, 0, 16 * kMiB, 100);
+    co_await device.launch(0, 0, 16 * kMiB, 100);
   });
   h.scheduler.run();
   EXPECT_THROW(h.runner.check(), PeLaunchError);
 
   // The next launch (op 1, outside the window) proceeds normally.
   h.runner.spawn([&]() -> sim::Process {
-    co_await device.launch_inference(0, 0, 16 * kMiB, 100);
+    co_await device.launch(0, 0, 16 * kMiB, 100);
   });
   h.scheduler.run();
   h.runner.check();
@@ -281,7 +281,7 @@ TEST(DeviceFaults, PeLaunchStallDelaysTheDoorbell) {
     }
     const Picoseconds start = h.scheduler.now();
     h.runner.spawn([&]() -> sim::Process {
-      co_await device.launch_inference(0, 0, 16 * kMiB, 100);
+      co_await device.launch(0, 0, 16 * kMiB, 100);
     });
     h.scheduler.run();
     h.runner.check();
